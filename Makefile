@@ -127,11 +127,13 @@ bench:
 
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
 # throughput benchmarks (catching gross regressions and alloc creep via
-# -benchmem) plus a quick shard-scaling ladder, whose JSON lands in
-# BENCH_scaling.json for comparison against the committed full run.
+# -benchmem) plus a quick shard-scaling ladder. The ladder's JSON goes to a
+# temporary file, so the committed BENCH_scaling.json keeps the full run
+# (regenerate it with make scaling).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
-	$(GO) run ./cmd/hqbench -exp scaling -quick -out BENCH_scaling.json >/dev/null
+	tmp=$$(mktemp -d) && $(GO) run ./cmd/hqbench -exp scaling -quick -out $$tmp/BENCH_scaling.json >/dev/null; \
+		status=$$?; rm -rf $$tmp; exit $$status
 
 throughput:
 	$(GO) run ./cmd/hqbench -exp throughput

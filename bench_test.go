@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/experiments"
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
@@ -171,7 +170,7 @@ func runMonitored(b *testing.B, p *workload.Profile, opts compiler.Options, cost
 	if err != nil {
 		b.Fatal(err)
 	}
-	out, err := core.Run(ins, core.Options{ContinueChecks: true, Cost: cost})
+	out, err := Run(ins, nil, WithContinueChecks(), WithCost(cost))
 	if err != nil || out.Err != nil {
 		b.Fatalf("run: %v %v", err, out.Err)
 	}

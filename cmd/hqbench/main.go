@@ -28,12 +28,12 @@
 //	hqbench -procs N            # concurrent monitored processes for stats/chaos
 //	hqbench -seed N             # fault-schedule seed for the chaos soak
 //	hqbench -quick              # shrink the scaling ladder for smoke runs
-//	hqbench -out FILE           # also write the report as JSON (scaling, policies, forensics)
+//	hqbench -out FILE           # also write the report as JSON (scaling, policies, forensics, hqd)
 //
 // -out with -exp scaling writes on any run including -exp all (the original
-// behaviour); for policies and forensics it writes only when that experiment
-// was selected by name, so `-exp all -out FILE` cannot have three experiments
-// clobbering one file.
+// behaviour); for policies, forensics and hqd it writes only when that
+// experiment was selected by name, so `-exp all -out FILE` cannot have
+// several experiments clobbering one file.
 package main
 
 import (
@@ -54,7 +54,7 @@ func main() {
 	procs := flag.Int("procs", 8, "concurrent monitored processes for the stats and chaos experiments")
 	seed := flag.Uint64("seed", 0xda0517, "fault-schedule seed for the chaos soak")
 	quick := flag.Bool("quick", false, "shrink the scaling ladder (fewer messages, single rep) for smoke runs")
-	outFile := flag.String("out", "", "write the scaling report as JSON to this file")
+	outFile := flag.String("out", "", "also write the report of -exp scaling, policies, forensics or hqd as JSON to this file")
 	flag.Parse()
 
 	var scale workload.Scale

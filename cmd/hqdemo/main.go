@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := hq.Run(ins, hq.RunOptions{Channel: ch, KillOnViolation: true})
+		out, err := hq.Run(ins, []hq.SystemOption{hq.WithKillOnViolation(true)}, hq.WithChannel(ch))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := hq.Run(ins, hq.RunOptions{KillOnViolation: true})
+	out, err := hq.Run(ins, []hq.SystemOption{hq.WithKillOnViolation(true)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +78,7 @@ entry:
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := hq.Run(ins, hq.RunOptions{})
+	out, err := hq.Run(ins, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,10 +87,10 @@ entry:
 	// 42
 }
 
-// ExampleNewCounterPolicy reproduces the paper's §2 overview: a
-// tamper-proof event counter held by the verifier, out of the monitored
-// program's reach.
-func ExampleNewCounterPolicy() {
+// Example_counter reproduces the paper's §2 overview: a tamper-proof event
+// counter held by the verifier, out of the monitored program's reach. The
+// counter comes from the policy registry; a type assertion reads it.
+func Example_counter() {
 	mod := hq.NewModule("count")
 	b := hq.NewBuilder(mod)
 	b.Func("main", hq.FuncTypeOf(hq.I64Type))
@@ -104,9 +104,14 @@ func ExampleNewCounterPolicy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter := hq.NewCounterPolicy().(*hq.CounterPolicy)
-	if _, err := hq.Run(ins, hq.RunOptions{
-		Policies: func() []hq.Policy { return []hq.Policy{counter} },
+	set, err := hq.PolicySet("cfi", "counter")
+	if err != nil {
+		log.Fatal(err)
+	}
+	policies := set()
+	counter := policies[1].(*hq.CounterPolicy)
+	if _, err := hq.Run(ins, []hq.SystemOption{
+		hq.WithPolicyFactory(func() []hq.Policy { return policies }),
 	}); err != nil {
 		log.Fatal(err)
 	}

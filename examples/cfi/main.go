@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := hq.Run(base, hq.RunOptions{KillOnViolation: true})
+	out, err := hq.Run(base, []hq.SystemOption{hq.WithKillOnViolation(true)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out2, err := hq.Run(prot, hq.RunOptions{KillOnViolation: true})
+	out2, err := hq.Run(prot, []hq.SystemOption{hq.WithKillOnViolation(true)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func main() {
 
 	// In monitoring (continue) mode, both the corruption and the
 	// use-after-free are reported while the program runs on.
-	out3, err := hq.Run(prot, hq.RunOptions{})
+	out3, err := hq.Run(prot, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func runOne(bug string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := hq.Run(ins, hq.RunOptions{KillOnViolation: true})
+	out, err := hq.Run(ins, []hq.SystemOption{hq.WithKillOnViolation(true)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,17 +55,21 @@ func main() {
 	}
 
 	// Instrument for HerQules (adds syscall synchronization etc.) and run
-	// it monitored, holding a reference to the counter policy so we can
-	// read the trustworthy count afterwards.
+	// it monitored under the registry's cfi + counter set, holding a
+	// reference to the counter policy so we can read the trustworthy count
+	// afterwards.
 	ins, err := hq.Instrument(mod, hq.HQSfeStk, hq.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	counter := hq.NewCounterPolicy().(*hq.CounterPolicy)
-	out, err := hq.Run(ins, hq.RunOptions{
-		Policies: func() []hq.Policy {
-			return []hq.Policy{hq.NewCFIPolicy(), counter}
-		},
+	set, err := hq.PolicySet("cfi", "counter")
+	if err != nil {
+		log.Fatal(err)
+	}
+	policies := set()
+	counter := policies[1].(*hq.CounterPolicy)
+	out, err := hq.Run(ins, []hq.SystemOption{
+		hq.WithPolicyFactory(func() []hq.Policy { return policies }),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -91,7 +91,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	out, err := hq.Run(ins, hq.RunOptions{Channel: ch, KillOnViolation: true})
+	out, err := hq.Run(ins, []hq.SystemOption{hq.WithKillOnViolation(true)}, hq.WithChannel(ch))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,13 +30,14 @@
 //	b := herqules.NewBuilder(mod)
 //	... // construct functions (see examples/)
 //	ins, err := herqules.Instrument(mod, herqules.HQSfeStk, herqules.DefaultOptions())
-//	out, err := herqules.Run(ins, herqules.RunOptions{})
+//	out, err := herqules.Run(ins, nil)
 //
-// For many programs under one enforcement domain, use a resident System
-// (NewSystem / Launch / Shutdown). A System can expose a live observability
-// plane — Prometheus /metrics with per-PID attribution and sampled
-// send → validate latency, /healthz, /procs, /trace, /debug/pprof — with
-// WithHTTPAddr; see DESIGN.md's "Observability" section.
+// Every program runs under a System: one kernel module and one verifier
+// serving any number of monitored programs (NewSystem / Launch / Shutdown).
+// Run is the one-program shorthand for that sequence. A System can expose a
+// live observability plane — Prometheus /metrics with per-PID attribution
+// and sampled send → validate latency, /healthz, /procs, /trace,
+// /debug/pprof — with WithHTTPAddr; see DESIGN.md's "Observability" section.
 //
 // # Policy selection
 //
@@ -45,24 +46,16 @@
 //
 //	sys := herqules.NewSystem(herqules.WithPolicies("cfi", "memsafety", "hmac"))
 //
-// or, for the single-shot path, RunOptions.PolicyNames. The per-policy
-// constructors remain for compatibility but are deprecated; migrate as
-// follows:
-//
-//	NewCFIPolicy()        →  WithPolicies("cfi")        / PolicyNames: []string{"cfi"}
-//	NewMemSafetyPolicy()  →  WithPolicies("memsafety")  / ... "memsafety"
-//	NewCounterPolicy()    →  WithPolicies("counter")    / ... "counter"
-//	NewDFIPolicy()        →  WithPolicies("dfi")        / ... "dfi"
-//	(no old equivalent)      WithPolicies("temporal")   — temporal memory safety
-//	(no old equivalent)      WithPolicies("hmac")       — MAC-authenticated messages
-//
-// A custom factory (hand-built sets, unregistered policy implementations)
-// still plugs in through WithPolicyFactory or RunOptions.Policies.
+// The registry holds cfi, memsafety, counter, dfi, temporal (temporal memory
+// safety) and hmac (MAC-authenticated messages). PolicySet resolves names
+// with an error return; a custom factory (hand-built sets, unregistered
+// policy implementations) plugs in through WithPolicyFactory.
 package herqules
 
 import (
+	"context"
+
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/ipc"
 	"herqules/internal/policy"
 	"herqules/internal/sim"
@@ -107,25 +100,22 @@ func Instrument(mod *Module, d Design, opts Options) (*Instrumented, error) {
 	return compiler.Instrument(mod, d, opts)
 }
 
-// RunOptions configures a monitored execution.
-type RunOptions = core.Options
-
 // Outcome is the result of a monitored execution.
-type Outcome = core.Outcome
+type Outcome = supervisor.Outcome
 
-// Run executes an instrumented program under the HerQules framework:
-// kernel module, verifier with the registry default policy set (cfi +
-// memsafety + counter + dfi; override with RunOptions.PolicyNames), and —
-// when RunOptions.Channel is set — a real concurrent AppendWrite transport.
-//
-// Run is the documented compatibility wrapper over the resident runtime: it
-// stands up a throwaway single-tenant System, launches exactly one process,
-// waits, and shuts the System down. New code hosting more than one program
-// (or keeping the verifier warm between runs) should use NewSystem +
-// System.Launch + Proc.Wait instead; see system.go for the migration map
-// (RunOptions fields → RunOption functional options).
-func Run(ins *Instrumented, opts RunOptions) (*Outcome, error) {
-	return core.Run(ins, opts)
+// Run executes one instrumented program on a System of its own, built with
+// sys, and shuts the System down once the program exits. Delivery is
+// deterministic and inline unless opts switch it to a concurrent transport
+// with WithChannel. Programs that share an enforcement domain, or that keep
+// the verifier warm between runs, Launch into one System instead.
+func Run(ins *Instrumented, sys []SystemOption, opts ...RunOption) (*Outcome, error) {
+	s := NewSystem(sys...)
+	defer s.Shutdown(context.Background())
+	p, err := s.Launch(ins, append([]RunOption{WithInlineDelivery()}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return p.Wait()
 }
 
 // Policy is a verifier-side execution policy.
@@ -141,7 +131,7 @@ type Violation = policy.Violation
 type CounterPolicy = policy.Counter
 
 // Policies lists the registered policy names, sorted — the valid inputs to
-// WithPolicies, PolicySet and RunOptions.PolicyNames.
+// WithPolicies and PolicySet.
 func Policies() []string { return policy.Names() }
 
 // PolicySet resolves registry names into a PolicyFactory, validating every
@@ -154,30 +144,6 @@ func PolicySet(names ...string) (PolicyFactory, error) {
 	}
 	return f, nil
 }
-
-// NewCFIPolicy returns the pointer-integrity policy of the case study
-// (§4.1).
-//
-// Deprecated: select policies by registry name instead — WithPolicies("cfi")
-// or RunOptions.PolicyNames; see the package-doc migration table.
-func NewCFIPolicy() Policy { return policy.MustSet("cfi")[0] }
-
-// NewMemSafetyPolicy returns the §4.2 allocation-tracking policy.
-//
-// Deprecated: use WithPolicies("memsafety") or RunOptions.PolicyNames.
-func NewMemSafetyPolicy() Policy { return policy.MustSet("memsafety")[0] }
-
-// NewCounterPolicy returns the §2 event-counter policy. It now returns the
-// Policy interface; assert to *CounterPolicy to read counts.
-//
-// Deprecated: use WithPolicies("counter") or RunOptions.PolicyNames.
-func NewCounterPolicy() Policy { return policy.MustSet("counter")[0] }
-
-// NewDFIPolicy returns the §4.3 data-flow integrity policy (enable the
-// matching instrumentation with Options.DFI).
-//
-// Deprecated: use WithPolicies("dfi") or RunOptions.PolicyNames.
-func NewDFIPolicy() Policy { return policy.MustSet("dfi")[0] }
 
 // PolicyFactory builds a policy set per monitored process. Construct one
 // from registry names with PolicySet, or write your own for unregistered

@@ -21,10 +21,10 @@ import (
 	"sort"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/fpga"
 	"herqules/internal/ipc"
 	"herqules/internal/sim"
+	"herqules/internal/supervisor"
 	"herqules/internal/uarch"
 	"herqules/internal/workload"
 )
@@ -100,12 +100,18 @@ type Run struct {
 	Benchmark *workload.Profile
 	Design    compiler.Design
 	Cycles    uint64
-	Outcome   *core.Outcome
+	Outcome   *supervisor.Outcome
 	Err       error // build/instrumentation error (not a program crash)
 }
 
-// execute runs one benchmark under one design with the given cost model.
-func execute(p *workload.Profile, d compiler.Design, cost *sim.CostModel, scale workload.Scale) *Run {
+// newSystem builds the one System an experiment runs all its programs on, in
+// the measurement configuration: default policies, violations recorded but
+// not killed (§5). The caller shuts it down.
+func newSystem() *supervisor.System { return supervisor.New(supervisor.Config{}) }
+
+// execute runs one benchmark under one design with the given cost model, as
+// a process of sys with deterministic inline delivery.
+func execute(sys *supervisor.System, p *workload.Profile, d compiler.Design, cost *sim.CostModel, scale workload.Scale) *Run {
 	r := &Run{Benchmark: p, Design: d}
 	opts := compiler.DefaultOptions()
 	opts.Allowlist = p.Allowlist()
@@ -114,10 +120,16 @@ func execute(p *workload.Profile, d compiler.Design, cost *sim.CostModel, scale 
 		r.Err = err
 		return r
 	}
-	out, err := core.Run(ins, core.Options{
+	proc, err := sys.Launch(ins, supervisor.LaunchOptions{
+		Inline:         true,
 		ContinueChecks: true, // the paper continues after violations (§5)
 		Cost:           cost,
 	})
+	if err != nil {
+		r.Err = err
+		return r
+	}
+	out, err := proc.Wait()
 	if err != nil {
 		r.Err = err
 		return r

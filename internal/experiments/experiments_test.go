@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"context"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -154,6 +158,31 @@ func TestFigure3Ordering(t *testing.T) {
 	}
 }
 
+// TestFormatSeriesTiesInNameOrder: rows with equal relative performance come
+// out in display-name order on every call, not in map iteration order.
+func TestFormatSeriesTiesInNameOrder(t *testing.T) {
+	s := &Series{Label: "tied", Rel: map[string]float64{
+		"omnetpp_s+": 0.9, "xalancbmk_r+": 0.9, "leela_r+": 0.9,
+		"exchange2_r": 0.5, "x264_r": 1, "perlbench_s": 1,
+	}}
+	want := []string{"exchange2_r", "leela_r+", "omnetpp_s+", "xalancbmk_r+", "perlbench_s", "x264_r", "geomean"}
+	first := FormatSeries([]*Series{s})
+	lines := strings.Split(strings.TrimSpace(first), "\n")[1:]
+	if len(lines) != len(want) {
+		t.Fatalf("%d rows, want %d:\n%s", len(lines), len(want), first)
+	}
+	for i, l := range lines {
+		if name := strings.Fields(l)[0]; name != want[i] {
+			t.Errorf("row %d = %q, want %q", i, name, want[i])
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if got := FormatSeries([]*Series{s}); got != first {
+			t.Fatalf("call %d differs:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+}
+
 func TestFigure4ModelVsSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("performance sweep")
@@ -184,9 +213,11 @@ func TestModelRefVsTrainDensity(t *testing.T) {
 	// §5.3.1: the ref input is more compute-dense, so per-message overhead
 	// has less impact — MODEL-ref outperforms MODEL-train relative to
 	// their own baselines.
-	baseOutRef := referenceOutputs(workload.ScaleRef)
-	baseRef := measureBaseline(PrimModel, workload.ScaleRef)
-	refSeries := series("ref", compiler.HQSfeStk, PrimModel, workload.ScaleRef, baseRef, baseOutRef)
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
+	baseOutRef := referenceOutputs(sys, workload.ScaleRef)
+	baseRef := measureBaseline(sys, PrimModel, workload.ScaleRef)
+	refSeries := series(sys, "ref", compiler.HQSfeStk, PrimModel, workload.ScaleRef, baseRef, baseOutRef)
 	trainSeries := Figure4()[0]
 	if !(refSeries.SPECGeoMean > trainSeries.GeoMean) {
 		t.Errorf("MODEL-ref (%.2f) should beat MODEL-train (%.2f)",
@@ -236,12 +267,57 @@ func TestMetricsReport(t *testing.T) {
 }
 
 func TestTable6Counts(t *testing.T) {
-	out, err := Table6("../..")
+	const root = "../.."
+	out, err := Table6(root)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err) // also a listed directory that no longer exists
 	}
 	if !strings.Contains(out, "Compiler") || !strings.Contains(out, "Total") {
 		t.Errorf("Table 6 output malformed:\n%s", out)
+	}
+
+	// Every package directory of the module, and nothing else, is assigned
+	// to exactly one component. Nested modules (their own go.mod) are not
+	// part of this one.
+	assigned := map[string]int{}
+	for _, c := range table6Components {
+		for _, d := range c.Dirs {
+			assigned[d]++
+		}
+	}
+	packages := map[string]bool{}
+	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if e.IsDir() {
+			name := e.Name()
+			if rel != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); rel != "." && err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			packages[filepath.ToSlash(filepath.Dir(rel))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := range packages {
+		if assigned[d] != 1 {
+			t.Errorf("package directory %s is assigned to %d Table 6 components, want 1", d, assigned[d])
+		}
+	}
+	for d := range assigned {
+		if !packages[d] {
+			t.Errorf("Table 6 lists %s, which is not a package directory of the module", d)
+		}
 	}
 }
 

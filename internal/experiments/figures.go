@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"herqules/internal/compiler"
+	"herqules/internal/supervisor"
 	"herqules/internal/workload"
 )
 
@@ -27,11 +29,11 @@ type Series struct {
 
 // measureBaseline runs every benchmark uninstrumented under the primitive's
 // cost model and returns cycles by benchmark name.
-func measureBaseline(prim Primitive, scale workload.Scale) map[string]uint64 {
+func measureBaseline(sys *supervisor.System, prim Primitive, scale workload.Scale) map[string]uint64 {
 	out := make(map[string]uint64)
 	cost := prim.costModel()
 	for _, p := range workload.All() {
-		r := execute(p, compiler.Baseline, cost, scale)
+		r := execute(sys, p, compiler.Baseline, cost, scale)
 		if r.Outcome != nil && r.Outcome.Err == nil {
 			out[p.Name] = r.Cycles
 		}
@@ -40,7 +42,7 @@ func measureBaseline(prim Primitive, scale workload.Scale) map[string]uint64 {
 }
 
 // series measures one (design, primitive) configuration against baseline.
-func series(label string, d compiler.Design, prim Primitive,
+func series(sys *supervisor.System, label string, d compiler.Design, prim Primitive,
 	scale workload.Scale, baseline map[string]uint64, baseOut map[string][]uint64) *Series {
 	s := &Series{Label: label, Rel: make(map[string]float64)}
 	cost := prim.costModel()
@@ -54,7 +56,7 @@ func series(label string, d compiler.Design, prim Primitive,
 			s.Excluded = append(s.Excluded, p.DisplayName())
 			continue
 		}
-		r := execute(p, d, cost, scale)
+		r := execute(sys, p, d, cost, scale)
 		if r.Err != nil || r.Outcome == nil || r.Outcome.Err != nil || r.Outcome.Killed ||
 			!sameOutput(r.Outcome.Output, baseOut[p.Name]) {
 			s.Excluded = append(s.Excluded, p.DisplayName())
@@ -80,10 +82,10 @@ func series(label string, d compiler.Design, prim Primitive,
 // referenceOutputs collects baseline outputs for validity comparison. CCFI's
 // x87 output perturbation marks those benchmarks invalid, matching the
 // paper's exclusion of invalid runs from the performance figures.
-func referenceOutputs(scale workload.Scale) map[string][]uint64 {
+func referenceOutputs(sys *supervisor.System, scale workload.Scale) map[string][]uint64 {
 	out := make(map[string][]uint64)
 	for _, p := range workload.All() {
-		r := execute(p, compiler.Baseline, nil, scale)
+		r := execute(sys, p, compiler.Baseline, nil, scale)
 		if r.Outcome != nil {
 			out[p.Name] = r.Outcome.Output
 		}
@@ -94,11 +96,13 @@ func referenceOutputs(scale workload.Scale) map[string][]uint64 {
 // Figure3 compares IPC primitives under HQ-CFI-SfeStk (§5.3.1): software
 // message queues vs AppendWrite-FPGA vs the AppendWrite-µarch model.
 func Figure3(scale workload.Scale) []*Series {
-	baseOut := referenceOutputs(scale)
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
+	baseOut := referenceOutputs(sys, scale)
 	var out []*Series
 	for _, prim := range []Primitive{PrimMQ, PrimFPGA, PrimModel} {
-		baseline := measureBaseline(prim, scale)
-		out = append(out, series(
+		baseline := measureBaseline(sys, prim, scale)
+		out = append(out, series(sys,
 			fmt.Sprintf("HQ-CFI-SfeStk-%s", prim),
 			compiler.HQSfeStk, prim, scale, baseline, baseOut))
 	}
@@ -111,11 +115,13 @@ func Figure3(scale workload.Scale) []*Series {
 // it is dominated by system calls, exactly as the paper does.
 func Figure4() []*Series {
 	scale := workload.ScaleTrain
-	baseOut := referenceOutputs(scale)
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
+	baseOut := referenceOutputs(sys, scale)
 	var out []*Series
 	for _, prim := range []Primitive{PrimModel, PrimSim} {
-		baseline := measureBaseline(prim, scale)
-		s := series(
+		baseline := measureBaseline(sys, prim, scale)
+		s := series(sys,
 			fmt.Sprintf("HQ-CFI-SfeStk-%s-Train", prim),
 			compiler.HQSfeStk, prim, scale, baseline, baseOut)
 		delete(s.Rel, "nginx")
@@ -133,8 +139,10 @@ func Figure4() []*Series {
 // Figure5 compares all CFI designs under the AppendWrite-µarch model
 // (§5.3.2).
 func Figure5(scale workload.Scale) []*Series {
-	baseOut := referenceOutputs(scale)
-	baseline := measureBaseline(PrimModel, scale)
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
+	baseOut := referenceOutputs(sys, scale)
+	baseline := measureBaseline(sys, PrimModel, scale)
 	configs := []struct {
 		label string
 		d     compiler.Design
@@ -147,23 +155,28 @@ func Figure5(scale workload.Scale) []*Series {
 	}
 	var out []*Series
 	for _, c := range configs {
-		out = append(out, series(c.label, c.d, PrimModel, scale, baseline, baseOut))
+		out = append(out, series(sys, c.label, c.d, PrimModel, scale, baseline, baseOut))
 	}
 	return out
 }
 
 // FormatSeries renders figure series as a text table sorted by the first
-// series' relative performance (as the paper sorts its figures).
+// series' relative performance (as the paper sorts its figures), breaking
+// ties by display name so the output is deterministic.
 func FormatSeries(series []*Series) string {
 	if len(series) == 0 {
 		return ""
 	}
-	names := make([]string, 0, len(series[0].Rel))
-	for n := range series[0].Rel {
+	rel := series[0].Rel
+	names := make([]string, 0, len(rel))
+	for n := range rel {
 		names = append(names, n)
 	}
 	sort.Slice(names, func(i, j int) bool {
-		return series[0].Rel[names[i]] < series[0].Rel[names[j]]
+		if rel[names[i]] != rel[names[j]] {
+			return rel[names[i]] < rel[names[j]]
+		}
+		return names[i] < names[j]
 	})
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s", "benchmark")

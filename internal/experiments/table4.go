@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"herqules/internal/compiler"
+	"herqules/internal/supervisor"
 	"herqules/internal/workload"
 )
 
@@ -26,24 +28,26 @@ type CorrectnessRow struct {
 // valid output), exactly as the paper notes.
 func Table4(scale workload.Scale) []CorrectnessRow {
 	benchmarks := workload.All()
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
 
 	// Reference outputs from the modern-compiler baseline.
 	baseOut := make(map[string][]uint64, len(benchmarks))
 	for _, p := range benchmarks {
-		r := execute(p, compiler.Baseline, nil, scale)
+		r := execute(sys, p, compiler.Baseline, nil, scale)
 		if r.Outcome != nil {
 			baseOut[p.Name] = r.Outcome.Output
 		}
 	}
 
 	rows := []CorrectnessRow{
-		classifyBaseline("Baseline", benchmarks, baseOut, scale, false),
-		classifyBaseline("Baseline-CCFI", benchmarks, baseOut, scale, true),
-		classifyBaseline("Baseline-CPI", benchmarks, baseOut, scale, true),
-		classify("Clang/LLVM CFI", compiler.ClangCFI, benchmarks, baseOut, scale),
-		classify("CCFI", compiler.CCFI, benchmarks, baseOut, scale),
-		classify("CPI", compiler.CPI, benchmarks, baseOut, scale),
-		classify("HQ-CFI", compiler.HQSfeStk, benchmarks, baseOut, scale),
+		classifyBaseline(sys, "Baseline", benchmarks, baseOut, scale, false),
+		classifyBaseline(sys, "Baseline-CCFI", benchmarks, baseOut, scale, true),
+		classifyBaseline(sys, "Baseline-CPI", benchmarks, baseOut, scale, true),
+		classify(sys, "Clang/LLVM CFI", compiler.ClangCFI, benchmarks, baseOut, scale),
+		classify(sys, "CCFI", compiler.CCFI, benchmarks, baseOut, scale),
+		classify(sys, "CPI", compiler.CPI, benchmarks, baseOut, scale),
+		classify(sys, "HQ-CFI", compiler.HQSfeStk, benchmarks, baseOut, scale),
 	}
 	return rows
 }
@@ -51,7 +55,7 @@ func Table4(scale workload.Scale) []CorrectnessRow {
 // classifyBaseline builds the baseline rows. The old-compiler baselines
 // (those CCFI and CPI are built on) crash on the two benchmarks carrying the
 // shared old-LLVM bug (§5.1).
-func classifyBaseline(label string, benchmarks []*workload.Profile,
+func classifyBaseline(sys *supervisor.System, label string, benchmarks []*workload.Profile,
 	baseOut map[string][]uint64, scale workload.Scale, oldCompiler bool) CorrectnessRow {
 	row := CorrectnessRow{Label: label}
 	for _, p := range benchmarks {
@@ -60,13 +64,13 @@ func classifyBaseline(label string, benchmarks []*workload.Profile,
 			row.Invalid++
 			continue
 		}
-		r := execute(p, compiler.Baseline, nil, scale)
+		r := execute(sys, p, compiler.Baseline, nil, scale)
 		classifyRun(&row, p, r, baseOut[p.Name], compiler.Baseline)
 	}
 	return row
 }
 
-func classify(label string, d compiler.Design, benchmarks []*workload.Profile,
+func classify(sys *supervisor.System, label string, d compiler.Design, benchmarks []*workload.Profile,
 	baseOut map[string][]uint64, scale workload.Scale) CorrectnessRow {
 	row := CorrectnessRow{Label: label}
 	for _, p := range benchmarks {
@@ -82,7 +86,7 @@ func classify(label string, d compiler.Design, benchmarks []*workload.Profile,
 			}
 			continue
 		}
-		r := execute(p, d, nil, scale)
+		r := execute(sys, p, d, nil, scale)
 		classifyRun(&row, p, r, baseOut[p.Name], d)
 	}
 	return row

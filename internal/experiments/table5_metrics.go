@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -60,9 +61,11 @@ type Metrics struct {
 func CollectMetrics(scale workload.Scale) *Metrics {
 	m := &Metrics{}
 	cost := PrimModel.costModel()
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
 	var rates, entries []float64
 	for _, p := range workload.All() {
-		r := execute(p, compiler.HQSfeStk, cost, scale)
+		r := execute(sys, p, compiler.HQSfeStk, cost, scale)
 		if r.Outcome == nil || r.Outcome.Err != nil {
 			continue
 		}

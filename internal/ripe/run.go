@@ -1,22 +1,40 @@
 package ripe
 
 import (
+	"context"
 	"fmt"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
+	"herqules/internal/supervisor"
 )
+
+// newSystem builds a System in effectiveness mode: violations kill (the
+// §5.2 methodology).
+func newSystem() *supervisor.System {
+	return supervisor.New(supervisor.Config{KillOnViolation: true})
+}
 
 // Execute builds, instruments and runs one attack under a design in
 // effectiveness mode (violations kill, in-process checks trap — the §5.2
 // methodology) and reports whether the exploit succeeded: attacker-chosen
 // code executed its marker system call.
 func Execute(a Attack, d compiler.Design) (bool, error) {
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
+	return execute(sys, a, d)
+}
+
+// execute is Execute as one process of a resident System.
+func execute(sys *supervisor.System, a Attack, d compiler.Design) (bool, error) {
 	ins, err := compiler.Instrument(a.Build(), d, compiler.DefaultOptions())
 	if err != nil {
 		return false, fmt.Errorf("ripe: instrumenting %s under %v: %w", a.Name(), d, err)
 	}
-	out, err := core.Run(ins, core.Options{KillOnViolation: true})
+	var out *supervisor.Outcome
+	proc, err := sys.Launch(ins, supervisor.LaunchOptions{Inline: true})
+	if err == nil {
+		out, err = proc.Wait()
+	}
 	if err != nil {
 		return false, fmt.Errorf("ripe: running %s under %v: %w", a.Name(), d, err)
 	}
@@ -30,11 +48,14 @@ type Table struct {
 	Total   int
 }
 
-// RunSuite executes the whole suite under one design.
+// RunSuite executes the whole suite under one design, every attack as a
+// process of one resident System.
 func RunSuite(d compiler.Design) (*Table, error) {
+	sys := newSystem()
+	defer sys.Shutdown(context.Background())
 	t := &Table{Design: d, ByOrgin: make(map[Origin]int)}
 	for _, a := range Suite() {
-		ok, err := Execute(a, d)
+		ok, err := execute(sys, a, d)
 		if err != nil {
 			return nil, err
 		}

@@ -4,17 +4,15 @@
 // Figure 1, where a single trusted verifier process multiplexes every
 // application that has enabled HerQules.
 //
-// Where package core's Run constructs a private kernel + verifier per call
-// and hosts exactly one process, a System is long-lived: programs Launch
-// into it, run concurrently (each with its own AppendWrite channel drained
-// by a shared verifier.PumpSet), and exit independently; Shutdown drains
-// every in-flight batch before stopping the shard workers. This is the
-// configuration under which CFI enforcement overheads are actually compared
-// in the literature (Burow et al.; de Clercq & Verbauwhede): one enforcement
-// domain amortized across the machine's workload, not one per process.
-//
-// core.Run remains as a one-process convenience wrapper over a throwaway
-// System; the public facade surfaces this package as herqules.System.
+// A System is long-lived: programs Launch into it, run concurrently (each
+// with its own AppendWrite channel drained by a shared verifier.PumpSet, or
+// delivered inline for deterministic runs), and exit independently;
+// Shutdown drains every in-flight batch before stopping the shard workers.
+// This is the configuration under which CFI enforcement overheads are
+// actually compared in the literature (Burow et al.; de Clercq &
+// Verbauwhede): one enforcement domain amortized across the machine's
+// workload, not one per process. Every monitored program in the repository
+// runs through a System; the public facade surfaces it as herqules.System.
 package supervisor
 
 import (
@@ -104,12 +102,6 @@ type Config struct {
 	// served by System.Forensics and the /violations endpoint. 0 disables —
 	// no ring, no per-message stamp, no reports.
 	FlightRecorder int
-}
-
-// DefaultPolicies installs the standard policy set, resolved through the
-// policy registry (policy.DefaultSet).
-func DefaultPolicies() []policy.Policy {
-	return policy.MustSet(policy.DefaultSet...)
 }
 
 // Outcome is the result of one monitored execution under a System.
@@ -243,7 +235,7 @@ type procRecord struct {
 func New(cfg Config) *System {
 	factory := cfg.Policies
 	if factory == nil {
-		factory = DefaultPolicies
+		factory = func() []policy.Policy { return policy.MustSet(policy.DefaultSet...) }
 	}
 	k := kernel.New(nil)
 	if cfg.Epoch > 0 {

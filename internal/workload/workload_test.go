@@ -1,11 +1,13 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"herqules/internal/compiler"
-	"herqules/internal/core"
 	"herqules/internal/mir"
+	"herqules/internal/sim"
+	"herqules/internal/supervisor"
 )
 
 func TestRosterInventory(t *testing.T) {
@@ -107,7 +109,7 @@ func TestEveryBenchmarkBuildsValidIR(t *testing.T) {
 }
 
 // runUnder instruments and executes one benchmark under a design.
-func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *core.Outcome {
+func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *supervisor.Outcome {
 	t.Helper()
 	opts := compiler.DefaultOptions()
 	opts.Allowlist = p.Allowlist()
@@ -115,9 +117,23 @@ func runUnder(t *testing.T, p *Profile, d compiler.Design, scale Scale) *core.Ou
 	if err != nil {
 		t.Fatalf("%s under %v: %v", p.Name, d, err)
 	}
-	out, err := core.Run(ins, core.Options{ContinueChecks: true})
+	return runMonitored(t, ins, nil)
+}
+
+// runMonitored runs ins as one process of a System in the §5 measurement
+// configuration: inline delivery, violations recorded, in-process checks
+// continue.
+func runMonitored(t *testing.T, ins *compiler.Instrumented, cost *sim.CostModel) *supervisor.Outcome {
+	t.Helper()
+	sys := supervisor.New(supervisor.Config{})
+	defer sys.Shutdown(context.Background())
+	proc, err := sys.Launch(ins, supervisor.LaunchOptions{Inline: true, ContinueChecks: true, Cost: cost})
 	if err != nil {
-		t.Fatalf("%s under %v: %v", p.Name, d, err)
+		t.Fatalf("%s under %v: %v", ins.Mod.Name, ins.Design, err)
+	}
+	out, err := proc.Wait()
+	if err != nil {
+		t.Fatalf("%s under %v: %v", ins.Mod.Name, ins.Design, err)
 	}
 	return out
 }
@@ -277,10 +293,7 @@ func TestDecayedBlockOpNeedsAllowlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := core.Run(ins, core.Options{ContinueChecks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runMonitored(t, ins, nil)
 	if len(out.PolicyViolations) == 0 {
 		t.Error("strict subtype checking without allowlist did not break the benchmark")
 	}
@@ -291,10 +304,7 @@ func TestDecayedBlockOpNeedsAllowlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := core.Run(ins2, core.Options{ContinueChecks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out2 := runMonitored(t, ins2, nil)
 	if len(out2.PolicyViolations) != 0 {
 		t.Error("conservative block-op instrumentation still broke the benchmark")
 	}
@@ -311,10 +321,9 @@ func TestOverheadOrderingOnCallHeavyBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := simCost()
-		out, err := core.Run(ins, core.Options{ContinueChecks: true, Cost: model})
-		if err != nil || out.Err != nil {
-			t.Fatalf("%v: %v %v", d, err, out.Err)
+		out := runMonitored(t, ins, simCost())
+		if out.Err != nil {
+			t.Fatalf("%v: %v", d, out.Err)
 		}
 		return out.Stats.Cycles
 	}

@@ -50,8 +50,7 @@ type Proc = supervisor.Proc
 //	p, err := sys.Launch(ins)
 //	out, err := p.Wait()
 //
-// The legacy single-shot entry point Run remains as a compatibility wrapper
-// that stands up a throwaway System per call.
+// Run is the one-program shorthand for the same sequence.
 type System struct {
 	s *supervisor.System
 

@@ -14,8 +14,7 @@ import (
 // concurrently, with telemetry attached, per-process outcomes collected via
 // Proc.Wait, and a graceful Shutdown.
 func TestSystemFacadeConcurrentLaunches(t *testing.T) {
-	mod := buildAPIVictim(t)
-	ins, err := Instrument(mod, HQSfeStk, DefaultOptions())
+	ins, err := Instrument(buildAPIVictim(t, true), HQSfeStk, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +78,9 @@ func TestSystemFacadeConcurrentLaunches(t *testing.T) {
 	if err := sys.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// The compatibility wrapper still works after the redesign.
-	if out, err := Run(ins, RunOptions{KillOnViolation: true}); err != nil || !out.Killed {
-		t.Errorf("legacy Run: out=%+v err=%v", out, err)
+	// Run is the same path on a System of its own.
+	if out, err := Run(ins, killing); err != nil || !out.Killed {
+		t.Errorf("Run: out=%+v err=%v", out, err)
 	}
 }
 
