@@ -101,11 +101,14 @@ verify:
 # connection-fault tests, then the quick hqd soak — a daemon+client round
 # trip over TCP and Unix sockets with chaos conn drops (mid-frame and at
 # frame boundaries), a lease-expiry kill, and the handshake-abuse battery.
-# Deterministic seed — safe for CI.
+# Deterministic seed — safe for CI. Last, the benchmark's own correctness
+# gate: all three hqperf workloads at a tiny size with every output check
+# (hqperf is a separate module, so it runs from its directory).
 hqd-smoke:
 	$(GO) test -race -count=1 ./internal/hqnet
 	$(GO) test -race -count=1 -run 'Conn|Socketpair|Frame' ./internal/chaos
 	$(GO) run -race ./cmd/hqbench -exp hqd -quick >/dev/null
+	cd hqperf && $(GO) test -count=1 .
 
 # hqd runs the full networked soak and persists the JSON artifact.
 hqd:

@@ -9,10 +9,13 @@ import (
 )
 
 // faultConn applies connection-level faults to a wrapped net.Conn: write
-// stalls (a frozen path) and mid-frame transport death (half a frame on the
-// wire, then close). Both are decided per write call — the transport write
-// sequence is a timing artifact, like RecvBatch call counts — so they are
-// excluded from the schedule hash.
+// stalls (a frozen path) and transport death mid-frame (half a frame on the
+// wire, then close) or at a frame boundary. All three are drawn once per
+// 48-byte frame inside each write, indexed by the frame's position in the
+// connection's byte stream, so a client that coalesces many frames into one
+// write meets as many faults as one that writes them singly. The frame
+// index still depends on write timing (which write carries which frame), so
+// the draws are excluded from the schedule hash, like RecvBatch call counts.
 //
 // The wrapper faults only the write side: a dropped write is observable at
 // the far end as a truncated frame (the exact failure the fd-framing
@@ -23,10 +26,10 @@ type faultConn struct {
 	net.Conn
 	inj    *Injector
 	stream uint64
-	// writes counts Write calls. Atomic: ipc.FrameWriter serializes writers
-	// per connection, but the session read loop's acks and a heartbeat loop
-	// may share one conn through separate FrameWriters.
-	writes atomic.Uint64
+	// frames counts frames written (whole or started). Atomic: a client
+	// serializes its own writes, but the session read loop's acks and a
+	// gate verdict may share one conn from separate goroutines.
+	frames atomic.Uint64
 	dead   atomic.Bool
 }
 
@@ -39,45 +42,45 @@ func (inj *Injector) Conn(nc net.Conn) net.Conn {
 
 func (fc *faultConn) Write(p []byte) (int, error) {
 	inj := fc.inj
-	i := fc.writes.Add(1) - 1
+	n := uint64((len(p) + ipc.MessageSize - 1) / ipc.MessageSize)
+	first := fc.frames.Add(n) - n
 	if fc.dead.Load() {
 		// Already chaos-killed: behave like the closed socket it is.
 		return fc.Conn.Write(p)
 	}
-	if hit(inj.draw(FaultConnStall, fc.stream, i), inj.cfg.connStall) {
-		inj.count(FaultConnStall)
-		time.Sleep(inj.cfg.connStallFor)
-	}
-	if hit(inj.draw(FaultConnDrop, fc.stream, i), inj.cfg.connDrop) {
-		inj.count(FaultConnDrop)
-		fc.dead.Store(true)
-		// Truncate exactly inside the frame: half the bytes escape, then the
-		// transport dies. The far side's decoder must observe a mid-frame
-		// end, never a silently shortened-but-clean stream.
-		half := len(p) / 2
-		n := 0
-		if half > 0 {
-			n, _ = fc.Conn.Write(p[:half])
+	for f := uint64(0); f < n; f++ {
+		i, start := first+f, int(f)*ipc.MessageSize
+		if hit(inj.draw(FaultConnStall, fc.stream, i), inj.cfg.connStall) {
+			inj.count(FaultConnStall)
+			time.Sleep(inj.cfg.connStallFor)
 		}
-		fc.Conn.Close()
-		return n, net.ErrClosed
-	}
-	if hit(inj.draw(FaultConnDropBoundary, fc.stream, i), inj.cfg.connDropBoundary) {
-		inj.count(FaultConnDropBoundary)
-		fc.dead.Store(true)
-		// Truncate exactly AT a frame boundary: half the frames of the write
-		// (rounded down to whole frames) escape, then the transport dies.
-		// Assumes the caller writes frame-aligned buffers (ipc.FrameWriter
-		// does) — the cut then lands on a stream frame boundary, so the far
-		// side's decoder sees a clean, carry-free end-of-stream and the loss
-		// is detectable only above framing (lease expiry or a CheckSeq gap).
-		cut := (len(p) / ipc.MessageSize / 2) * ipc.MessageSize
-		n := 0
-		if cut > 0 {
-			n, _ = fc.Conn.Write(p[:cut])
+		cut := -1
+		if hit(inj.draw(FaultConnDrop, fc.stream, i), inj.cfg.connDrop) {
+			inj.count(FaultConnDrop)
+			// Truncate exactly inside this frame: the frames before it and
+			// half of it escape, then the transport dies. The far side's
+			// decoder must observe a mid-frame end, never a silently
+			// shortened-but-clean stream.
+			cut = start + min(ipc.MessageSize, len(p)-start)/2
+		} else if hit(inj.draw(FaultConnDropBoundary, fc.stream, i), inj.cfg.connDropBoundary) {
+			inj.count(FaultConnDropBoundary)
+			// Truncate exactly AT this frame's start: the frames before it
+			// escape, then the transport dies. Writes of whole frames (every
+			// hqnet writer's) put the cut on a stream frame boundary, so the
+			// far side's decoder sees a clean, carry-free end-of-stream and
+			// the loss is detectable only above framing (lease expiry or a
+			// CheckSeq gap).
+			cut = start
 		}
-		fc.Conn.Close()
-		return n, net.ErrClosed
+		if cut >= 0 {
+			fc.dead.Store(true)
+			written := 0
+			if cut > 0 {
+				written, _ = fc.Conn.Write(p[:cut])
+			}
+			fc.Conn.Close()
+			return written, net.ErrClosed
+		}
 	}
 	return fc.Conn.Write(p)
 }

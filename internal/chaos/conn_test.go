@@ -6,6 +6,7 @@ import (
 	"os"
 	"syscall"
 	"testing"
+	"time"
 
 	"herqules/internal/ipc"
 )
@@ -121,64 +122,111 @@ func TestFrameCarryOverSocketpair(t *testing.T) {
 	}
 }
 
+// encodeFrames returns n encoded counter frames (Arg1 = i, Seq = i+1).
+func encodeFrames(pid int32, n int) []byte {
+	raw := make([]byte, 0, n*ipc.MessageSize)
+	var buf [ipc.MessageSize]byte
+	for i := 0; i < n; i++ {
+		m := ipc.Message{Op: ipc.OpCounterInc, PID: pid, Arg1: uint64(i), Seq: uint64(i + 1)}
+		m.Encode(buf[:])
+		raw = append(raw, buf[:]...)
+	}
+	return raw
+}
+
+// seedCuttingInside returns the first seed under which fault f, drawn per
+// frame at rate on a connection's first stream, first hits frame k of an
+// n-frame write with 0 < k < n: the cut then lands strictly inside the
+// write, with whole frames escaping before it.
+func seedCuttingInside(f Fault, rate float64, n int) (seed uint64, k int) {
+	for seed = 1; ; seed++ {
+		inj := NewInjector(seed)
+		for k = 0; k < n && !hit(inj.draw(f, 1, uint64(k)), rate); k++ {
+		}
+		if k > 0 && k < n {
+			return seed, k
+		}
+	}
+}
+
 // TestChaosConnDropTruncatesExactlyMidFrame injects FaultConnDrop on a real
-// socketpair: the chaos wrapper writes exactly half a frame and kills the
-// transport. The decoder must classify the stream end as a truncation (an
+// socketpair: the chaos wrapper writes the frames before the faulted one and
+// exactly half of it, then kills the transport. The decoder must deliver the
+// whole frames and then classify the stream end as a truncation (an
 // integrity violation carrying the trailing byte count), not as a clean EOF
 // — a silently shortened stream is precisely what fail-closed must catch.
+// The single-frame case is one frame per write; the burst case is a
+// coalesced write whose fault is drawn at a frame inside it.
 func TestChaosConnDropTruncatesExactlyMidFrame(t *testing.T) {
-	w, r := socketpair(t)
-	inj := NewInjector(42, WithConnDrop(1))
-	cw := inj.Conn(w)
+	const burst = 6
+	seed, k := seedCuttingInside(FaultConnDrop, 0.3, burst)
+	cases := []struct {
+		name         string
+		inj          *Injector
+		frames, want int
+	}{
+		{"single-frame", NewInjector(42, WithConnDrop(1)), 1, 0},
+		{"burst", NewInjector(seed, WithConnDrop(0.3)), burst, k},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, r := socketpair(t)
+			cw := tc.inj.Conn(w)
+			raw := encodeFrames(3, tc.frames)
+			if n, err := cw.Write(raw); err == nil {
+				t.Fatal("chaos-dropped write reported success")
+			} else if want := tc.want*ipc.MessageSize + ipc.MessageSize/2; n != want {
+				t.Fatalf("write reported %d bytes, want %d", n, want)
+			}
 
-	fw := ipc.NewFrameWriter(cw)
-	err := fw.WriteMessage(ipc.Message{Op: ipc.OpCounterInc, PID: 3, Seq: 1})
-	if err == nil {
-		t.Fatal("chaos-dropped write reported success")
-	}
-
-	dec := ipc.NewFrameDecoder(r)
-	var out [4]ipc.Message
-	n, ok, derr := dec.Decode(out[:])
-	if n != 0 || ok {
-		t.Fatalf("decode after mid-frame drop: n=%d ok=%t, want 0 false", n, ok)
-	}
-	var trunc *ipc.TruncatedFrameError
-	if !errors.As(derr, &trunc) {
-		t.Fatalf("decode error = %v, want TruncatedFrameError", derr)
-	}
-	if trunc.Trailing != ipc.MessageSize/2 {
-		t.Fatalf("trailing = %d, want %d (half a frame)", trunc.Trailing, ipc.MessageSize/2)
-	}
-	if !errors.Is(derr, ipc.ErrIntegrity) {
-		t.Fatal("truncation does not unwrap to ipc.ErrIntegrity")
-	}
-	if got := inj.Counts().ConnDrops; got != 1 {
-		t.Fatalf("conn drops = %d, want 1", got)
+			dec := ipc.NewFrameDecoder(r)
+			var out [burst]ipc.Message
+			got := 0
+			var derr error
+			for {
+				n, ok, err := dec.Decode(out[got:])
+				got += n
+				if err != nil || !ok {
+					derr = err
+					break
+				}
+			}
+			if got != tc.want {
+				t.Fatalf("decoded %d whole frames before the drop, want %d", got, tc.want)
+			}
+			var trunc *ipc.TruncatedFrameError
+			if !errors.As(derr, &trunc) {
+				t.Fatalf("decode error = %v, want TruncatedFrameError", derr)
+			}
+			if trunc.Trailing != ipc.MessageSize/2 {
+				t.Fatalf("trailing = %d, want %d (half a frame)", trunc.Trailing, ipc.MessageSize/2)
+			}
+			if !errors.Is(derr, ipc.ErrIntegrity) {
+				t.Fatal("truncation does not unwrap to ipc.ErrIntegrity")
+			}
+			if got := tc.inj.Counts().ConnDrops; got != 1 {
+				t.Fatalf("conn drops = %d, want 1", got)
+			}
+		})
 	}
 }
 
 // TestChaosConnDropAtFrameBoundary injects FaultConnDropBoundary on a real
-// socketpair: the chaos wrapper cuts a frame-aligned burst exactly at a frame
-// boundary and kills the transport. Unlike the mid-frame drop, the far side's
-// decoder must see a clean, carry-free end-of-stream — the loss is invisible
-// to framing and only the session layer (lease expiry, CheckSeq gap) can
-// catch it. The test first exercises the partial-frame carry over the same
-// socket to prove the decoder distinguishes the two endings.
+// socketpair: the chaos wrapper cuts a frame-aligned burst exactly at the
+// start of the frame that drew the fault and kills the transport. Unlike the
+// mid-frame drop, the far side's decoder must see a clean, carry-free
+// end-of-stream — the loss is invisible to framing and only the session
+// layer (lease expiry, CheckSeq gap) can catch it. The test first exercises
+// the partial-frame carry over the same socket to prove the decoder
+// distinguishes the two endings.
 func TestChaosConnDropAtFrameBoundary(t *testing.T) {
+	const frames, burst = 6, 4
+	seed, k := seedCuttingInside(FaultConnDropBoundary, 0.3, burst)
 	w, r := socketpair(t)
-	inj := NewInjector(99, WithConnDropAtBoundary(1))
+	inj := NewInjector(seed, WithConnDropAtBoundary(0.3))
 	cw := inj.Conn(w)
 	dec := ipc.NewFrameDecoder(r)
-
-	const frames = 6
-	raw := make([]byte, 0, frames*ipc.MessageSize)
-	var buf [ipc.MessageSize]byte
-	for i := 0; i < frames; i++ {
-		m := ipc.Message{Op: ipc.OpCounterInc, PID: 5, Arg1: uint64(i), Seq: uint64(i + 1)}
-		m.Encode(buf[:])
-		raw = append(raw, buf[:]...)
-	}
+	raw := encodeFrames(5, frames)
 
 	// Phase 1: a frame and a half through the RAW socket (bypassing the
 	// wrapper, which assumes frame-aligned writes). The decoder must hold
@@ -205,10 +253,10 @@ func TestChaosConnDropAtFrameBoundary(t *testing.T) {
 	}
 
 	// Phase 3+4: a 4-frame aligned burst through the chaos wrapper, decoded
-	// concurrently (the -race value of a real socketpair). The wrapper lets
-	// half the frames (2 of 4) escape, then closes the conn: the writer must
-	// see the failure, the reader must drain exactly those 2 frames and then
-	// hit a clean, carry-free EOF.
+	// concurrently (the -race value of a real socketpair). The fault is
+	// drawn per frame: the k frames before the first hit escape, then the
+	// wrapper closes the conn. The writer must see the failure, the reader
+	// must drain exactly those k frames and then hit a clean, carry-free EOF.
 	werr := make(chan error, 1)
 	go func() {
 		_, err := cw.Write(raw[2*ipc.MessageSize:])
@@ -228,8 +276,8 @@ func TestChaosConnDropAtFrameBoundary(t *testing.T) {
 	if err := <-werr; err == nil {
 		t.Fatal("chaos boundary-dropped write reported success")
 	}
-	if got != 4 {
-		t.Fatalf("decoded %d frames, want 4 (2 clean + 2 of the dropped burst)", got)
+	if got != 2+k {
+		t.Fatalf("decoded %d frames, want %d (2 clean + %d of the dropped burst)", got, 2+k, k)
 	}
 	if dec.Carried() {
 		t.Fatal("boundary drop left a carry: cut did not land on a frame boundary")
@@ -242,6 +290,52 @@ func TestChaosConnDropAtFrameBoundary(t *testing.T) {
 	}
 	if c := inj.Counts(); c.ConnDropBoundaries != 1 || c.ConnDrops != 0 {
 		t.Fatalf("counts = %+v, want exactly one boundary drop and no mid-frame drops", c)
+	}
+}
+
+// TestChaosConnFaultsPerFrame: connection faults are drawn per frame, not
+// per write call, so coalescing frames into fewer writes does not thin out
+// the faults. The same 64 frames written once as a single burst and once as
+// 64 single-frame writes meet the same stalls, and the same boundary drop
+// cuts both streams after the same frame.
+func TestChaosConnFaultsPerFrame(t *testing.T) {
+	const frames = 64
+	raw := encodeFrames(7, frames)
+	run := func(chunk int) (Counts, int) {
+		w, r := socketpair(t)
+		inj := NewInjector(11, WithConnStall(0.2, time.Microsecond), WithConnDropAtBoundary(0.02))
+		cw := inj.Conn(w)
+		go func() {
+			for off := 0; off < len(raw); off += chunk {
+				if _, err := cw.Write(raw[off : off+chunk]); err != nil {
+					return
+				}
+			}
+			cw.Close()
+		}()
+		dec := ipc.NewFrameDecoder(r)
+		var out [frames]ipc.Message
+		got := 0
+		for {
+			n, ok, err := dec.Decode(out[got:])
+			if err != nil {
+				t.Fatalf("chunk %d: decode: %v", chunk, err)
+			}
+			got += n
+			if !ok {
+				break
+			}
+		}
+		return inj.Counts(), got
+	}
+	burstCounts, burstGot := run(frames * ipc.MessageSize)
+	singleCounts, singleGot := run(ipc.MessageSize)
+	if burstCounts.ConnStalls == 0 || burstCounts.ConnDropBoundaries != 1 {
+		t.Fatalf("burst write drew %+v, want stalls and one boundary drop", burstCounts)
+	}
+	if burstCounts != singleCounts || burstGot != singleGot {
+		t.Fatalf("one burst: %+v, %d frames delivered; single frames: %+v, %d frames delivered — want equal",
+			burstCounts, burstGot, singleCounts, singleGot)
 	}
 }
 

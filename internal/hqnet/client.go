@@ -30,9 +30,12 @@ type ClientConfig struct {
 	// long since disposed of the process by then.
 	ResumeAttempts int
 
-	// ReplaySlots bounds the unacked-frame replay buffer (<= 0 selects
-	// 4096). A full buffer blocks Send — bounded memory, backpressure up
-	// into the monitored program, exactly like a full local channel.
+	// ReplaySlots bounds the replay ring of unacked encoded frames, which is
+	// also the client's write buffer (<= 0 selects 512: 24 KiB per client,
+	// room for two 256-frame write batches, one on the wire awaiting its ack
+	// while the next fills). A full ring blocks Send — bounded memory,
+	// backpressure up into the monitored program, exactly like a full local
+	// channel.
 	ReplaySlots int
 
 	// HeartbeatEvery overrides the lease-renewal cadence (0 selects a
@@ -68,14 +71,36 @@ type Client struct {
 	key   ipc.MacKey
 	keyed bool
 
+	// wmu serializes every transport write. reconnect holds it from
+	// installing a new connection until the replay is written, so no flush
+	// can put a newer frame on the wire ahead of a replayed one.
+	// wbufs lives here, over wseg, so a flush allocates nothing: WriteTo's
+	// pointer receiver would move a local to the heap on every call.
+	wmu   sync.Mutex
+	wseg  [3][]byte // ring run, wrapped run, control frame
+	wbufs net.Buffers
+	ctrl  [ipc.MessageSize]byte // the encoded control frame of a flush
+
 	mu      sync.Mutex
 	cond    *sync.Cond
 	conn    net.Conn
-	fw      *ipc.FrameWriter
 	gen     uint64 // connection generation; stale recvLoops detect takeover
-	nextSeq uint64 // highest data Seq admitted to the replay buffer
+	nextSeq uint64 // highest data Seq admitted to the replay ring
 	acked   uint64 // highest Seq the daemon has acked
-	replay  []ipc.Message
+
+	// The replay ring holds encoded frames and is the write buffer: a frame
+	// is in replay before it can reach the wire. Indices count frames since
+	// Dial; [head, tail) is unacked, [sent, tail) is not yet written on the
+	// current connection, and pinned (noPin when idle) is the first frame a
+	// write in progress still reads, so its slot is not reused until the
+	// write returns.
+	ring                     []byte
+	seqs                     []uint64 // Seq of each slot, for ack trimming
+	slots                    uint64
+	head, sent, tail, pinned uint64
+	armed                    bool          // flush timer running
+	kick                     chan struct{} // arms the flush timer
+
 	resumes uint64
 	hbOrd   uint64
 	dead    bool
@@ -91,6 +116,16 @@ type Client struct {
 
 	wg sync.WaitGroup
 }
+
+const (
+	// flushBatch is how many unwritten frames make Send flush inline.
+	flushBatch = 256
+	// flushDelay bounds how long a frame waits in the ring before the flush
+	// timer writes it — and so how long a violation can sit in the client
+	// before the verifier sees it.
+	flushDelay = time.Millisecond
+	noPin      = ^uint64(0)
+)
 
 // clientJitter seeds the resume backoff's splitmix64 stream.
 var clientJitter atomic.Uint64
@@ -131,14 +166,16 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 		cfg.ResumeAttempts = 8
 	}
 	if cfg.ReplaySlots <= 0 {
-		cfg.ReplaySlots = 4096
+		cfg.ReplaySlots = 512
 	}
-	c := &Client{cfg: cfg}
+	c := &Client{cfg: cfg, slots: uint64(cfg.ReplaySlots), pinned: noPin, kick: make(chan struct{}, 1)}
+	c.ring = make([]byte, cfg.ReplaySlots*ipc.MessageSize)
+	c.seqs = make([]uint64, cfg.ReplaySlots)
 	c.cond = sync.NewCond(&c.mu)
 	c.ctx, c.cancel = context.WithCancel(ctx)
 
 	hello := ipc.Message{Op: ipc.OpHello, Arg1: WireVersion, Arg2: cfg.Tenant}
-	nc, fw, dec, welcome, err := c.handshake(hello)
+	nc, dec, welcome, err := c.handshake(hello)
 	if err != nil {
 		c.cancel()
 		return nil, err
@@ -159,27 +196,26 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 		c.key = ipc.MacKey{K0: one[0].Arg1, K1: one[0].Arg2}
 		c.keyed = true
 	}
-	c.conn, c.fw, c.gen = nc, fw, 1
+	c.conn, c.gen = nc, 1
 	c.wg.Add(2)
 	go c.recvLoop(nc, dec, 1)
-	go c.heartbeatLoop()
+	go c.writeLoop()
 	return c, nil
 }
 
 // handshake dials and exchanges exactly one request/welcome pair.
-func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameWriter, *ipc.FrameDecoder, ipc.Message, error) {
+func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameDecoder, ipc.Message, error) {
 	d := net.Dialer{Timeout: c.cfg.DialTimeout}
 	nc, err := d.DialContext(c.ctx, c.cfg.Network, c.cfg.Addr)
 	if err != nil {
-		return nil, nil, nil, ipc.Message{}, err
+		return nil, nil, ipc.Message{}, err
 	}
 	if c.cfg.WrapConn != nil {
 		nc = c.cfg.WrapConn(nc)
 	}
-	fw := ipc.NewFrameWriter(nc)
-	if err := fw.WriteMessage(req); err != nil {
+	if err := ipc.NewFrameWriter(nc).WriteMessage(req); err != nil {
 		nc.Close()
-		return nil, nil, nil, ipc.Message{}, err
+		return nil, nil, ipc.Message{}, err
 	}
 	_ = nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	dec := ipc.NewFrameDecoder(nc)
@@ -190,19 +226,19 @@ func (c *Client) handshake(req ipc.Message) (net.Conn, *ipc.FrameWriter, *ipc.Fr
 		if err == nil {
 			err = errors.New("hqnet: connection closed during handshake")
 		}
-		return nil, nil, nil, ipc.Message{}, err
+		return nil, nil, ipc.Message{}, err
 	}
 	switch one[0].Op {
 	case ipc.OpWelcome:
 	case ipc.OpReject:
 		nc.Close()
-		return nil, nil, nil, ipc.Message{}, &RejectedError{Code: one[0].Arg1}
+		return nil, nil, ipc.Message{}, &RejectedError{Code: one[0].Arg1}
 	default:
 		nc.Close()
-		return nil, nil, nil, ipc.Message{}, fmt.Errorf("hqnet: unexpected handshake reply %v", one[0].Op)
+		return nil, nil, ipc.Message{}, fmt.Errorf("hqnet: unexpected handshake reply %v", one[0].Op)
 	}
 	_ = nc.SetReadDeadline(time.Time{})
-	return nc, fw, dec, one[0], nil
+	return nc, dec, one[0], nil
 }
 
 // PID is the kernel identity the daemon assigned at admission.
@@ -252,14 +288,24 @@ func (c *Client) Killed() (bool, string) {
 	return c.killed, c.killRsn
 }
 
-// Send implements ipc.Sender. The frame is admitted to the bounded replay
-// buffer (blocking while full — backpressure, not unbounded queueing) and
-// written through best-effort: a write onto a dying transport is not an
-// error, because the frame replays from the buffer after resume. Send only
-// fails once the session is dead, and then terminally.
+// Send implements ipc.Sender. The frame is encoded into the bounded replay
+// ring (blocking while full — backpressure, not unbounded queueing) and
+// written in a batch: inline once flushBatch frames are unwritten, otherwise
+// by the next gate, heartbeat or Flush, or by the flush timer within
+// flushDelay. A write onto a dying transport is not an error, because the
+// frame replays from the ring after resume. Send only fails once the session
+// is dead, and then terminally.
 func (c *Client) Send(m ipc.Message) error {
 	c.mu.Lock()
-	for !c.dead && len(c.replay) >= c.cfg.ReplaySlots {
+	for !c.dead && c.tail-min(c.head, c.pinned) >= c.slots {
+		if c.sent < c.tail {
+			// Full with frames still unwritten: acks only come for
+			// written frames, so push them out first.
+			c.mu.Unlock()
+			c.flush(nil)
+			c.mu.Lock()
+			continue
+		}
 		c.cond.Wait()
 	}
 	if c.dead {
@@ -277,20 +323,73 @@ func (c *Client) Send(m ipc.Message) error {
 		c.nextSeq = m.Seq
 	}
 	m.PID = c.pid
-	c.replay = append(c.replay, m)
-	fw := c.fw
+	slot := c.tail % c.slots
+	m.Encode(c.ring[slot*ipc.MessageSize:])
+	c.seqs[slot] = m.Seq
+	c.tail++
+	full := c.tail-c.sent >= flushBatch
+	arm := !full && !c.armed
+	c.armed = c.armed || arm
 	c.mu.Unlock()
-	if fw != nil {
-		_ = fw.WriteMessage(m)
+	if full {
+		c.flush(nil)
+	} else if arm {
+		c.kick <- struct{}{} // never blocks: one kick per arming
 	}
 	return nil
 }
 
-// SyscallEnter implements vm.Gate: the gate request crosses the wire, the
-// daemon's kernel runs bounded asynchronous validation, and the verdict
-// comes back. A transport loss mid-gate is survivable: the request is
-// retransmitted after resume and the daemon replays a verdict it already
-// computed (gate ordinals make it idempotent).
+// flush writes every unwritten frame and then ctrl (when non-nil) as one
+// vectored write. While the session has no connection it writes nothing:
+// reconnect replays every unacked frame.
+func (c *Client) flush(ctrl *ipc.Message) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	conn, lo, hi := c.conn, c.sent, c.tail
+	c.sent, c.pinned = hi, lo
+	c.mu.Unlock()
+	if conn != nil {
+		c.writeFrames(conn, lo, hi, ctrl)
+	}
+	c.unpin()
+}
+
+// writeFrames writes ring frames [lo, hi) and then ctrl (when non-nil) as
+// one net.Buffers write of at most three segments: the run up to the ring's
+// end, the wrapped run, and the control frame. The caller holds wmu and has
+// pinned lo.
+func (c *Client) writeFrames(conn net.Conn, lo, hi uint64, ctrl *ipc.Message) {
+	c.wbufs = c.wseg[:0]
+	if lo < hi {
+		a, b := lo%c.slots*ipc.MessageSize, ((hi-1)%c.slots+1)*ipc.MessageSize
+		if a >= b { // the run wraps past the ring's end
+			c.wbufs, a = append(c.wbufs, c.ring[a:]), 0
+		}
+		c.wbufs = append(c.wbufs, c.ring[a:b])
+	}
+	if ctrl != nil {
+		ctrl.Encode(c.ctrl[:])
+		c.wbufs = append(c.wbufs, c.ctrl[:])
+	}
+	if len(c.wbufs) > 0 {
+		_, _ = c.wbufs.WriteTo(conn)
+	}
+}
+
+// unpin releases the slots of a finished write to Send.
+func (c *Client) unpin() {
+	c.mu.Lock()
+	c.pinned = noPin
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
+// SyscallEnter implements vm.Gate: the gate request crosses the wire behind
+// every frame sent before it, the daemon's kernel runs bounded asynchronous
+// validation, and the verdict comes back. A transport loss mid-gate is
+// survivable: the request is retransmitted after resume and the daemon
+// replays a verdict it already computed (gate ordinals make it idempotent).
 func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	c.mu.Lock()
 	if c.dead {
@@ -302,12 +401,9 @@ func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	ord := c.gateOrd
 	ch := make(chan error, 1)
 	c.gateCh, c.gateSys = ch, syscallNo
-	fw := c.fw
 	req := ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(syscallNo), Arg2: ord}
 	c.mu.Unlock()
-	if fw != nil {
-		_ = fw.WriteMessage(req)
-	}
+	c.flush(&req)
 	select {
 	case err := <-ch:
 		return err
@@ -316,10 +412,11 @@ func (c *Client) SyscallEnter(pid int32, syscallNo int) error {
 	}
 }
 
-// Flush waits until the daemon has acked every admitted frame, the session
-// dies, or the timeout lapses. Close calls it so a clean goodbye does not
-// race the last data frames.
+// Flush writes every unwritten frame, then waits until the daemon has acked
+// every admitted frame, the session dies, or the timeout lapses. Close calls
+// it so a clean goodbye does not race the last data frames.
 func (c *Client) Flush(timeout time.Duration) bool {
+	c.flush(nil)
 	deadline := time.Now().Add(timeout)
 	for {
 		c.mu.Lock()
@@ -344,20 +441,22 @@ func (c *Client) Close() error {
 		lease = time.Second
 	}
 	c.Flush(lease)
+	c.wmu.Lock()
 	c.mu.Lock()
 	alreadyDead := c.dead
 	c.dead = true
 	if c.deadErr == "" {
 		c.deadErr = "hqnet: client closed"
 	}
-	conn, fw := c.conn, c.fw
-	c.conn, c.fw = nil, nil
+	conn, lo, hi := c.conn, c.sent, c.tail
+	c.conn = nil
 	ch := c.gateCh
 	c.gateCh = nil
 	c.mu.Unlock()
-	if !alreadyDead && fw != nil {
-		_ = fw.WriteMessage(ipc.Message{Op: ipc.OpGoodbye, PID: c.pid})
+	if !alreadyDead && conn != nil {
+		c.writeFrames(conn, lo, hi, &ipc.Message{Op: ipc.OpGoodbye, PID: c.pid})
 	}
+	c.wmu.Unlock()
 	if ch != nil {
 		ch <- errors.New("hqnet: client closed")
 	}
@@ -381,7 +480,7 @@ func (c *Client) die(reason string) {
 	c.dead = true
 	c.deadErr = reason
 	conn := c.conn
-	c.conn, c.fw = nil, nil
+	c.conn = nil
 	ch := c.gateCh
 	c.gateCh = nil
 	c.mu.Unlock()
@@ -394,8 +493,9 @@ func (c *Client) die(reason string) {
 	c.cond.Broadcast()
 }
 
-// heartbeatLoop renews the lease at a quarter of its duration.
-func (c *Client) heartbeatLoop() {
+// writeLoop runs the flush timer, armed by the first unwritten frame, and
+// renews the lease at a quarter of its duration.
+func (c *Client) writeLoop() {
 	defer c.wg.Done()
 	every := c.cfg.HeartbeatEvery
 	if every <= 0 {
@@ -406,10 +506,24 @@ func (c *Client) heartbeatLoop() {
 	}
 	t := time.NewTicker(every)
 	defer t.Stop()
+	// Reset only ever runs on a stopped or drained timer: Send arms it
+	// once, and only this loop disarms it, after the timer fired.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
 	for {
 		select {
 		case <-c.ctx.Done():
 			return
+		case <-c.kick:
+			timer.Reset(flushDelay)
+			continue
+		case <-timer.C:
+			c.mu.Lock()
+			c.armed = false
+			c.mu.Unlock()
+			c.flush(nil)
+			continue
 		case <-t.C:
 		}
 		c.mu.Lock()
@@ -419,11 +533,8 @@ func (c *Client) heartbeatLoop() {
 		}
 		c.hbOrd++
 		hb := ipc.Message{Op: ipc.OpHeartbeat, PID: c.pid, Arg1: c.hbOrd}
-		fw := c.fw
 		c.mu.Unlock()
-		if fw != nil {
-			_ = fw.WriteMessage(hb)
-		}
+		c.flush(&hb)
 	}
 }
 
@@ -476,8 +587,8 @@ func (c *Client) handle(m ipc.Message) {
 	}
 }
 
-// trim advances the ack high-water and drops acked frames from the replay
-// buffer, waking Send waiters blocked on a full buffer.
+// trim advances the ack high-water and the ring head past acked frames,
+// waking Send waiters blocked on a full ring.
 func (c *Client) trim(ack uint64) {
 	if ack == 0 {
 		return
@@ -485,31 +596,36 @@ func (c *Client) trim(ack uint64) {
 	c.mu.Lock()
 	if ack > c.acked {
 		c.acked = ack
-		i := 0
-		for i < len(c.replay) && c.replay[i].Seq <= ack {
-			i++
-		}
-		if i > 0 {
-			c.replay = append(c.replay[:0:0], c.replay[i:]...)
-		}
+		c.dropAcked()
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
 }
 
+// dropAcked advances the ring head past every frame the daemon has acked.
+// An acked frame never needs writing (the daemon drops it as overlap), so
+// sent never trails head. Called with mu held.
+func (c *Client) dropAcked() {
+	for c.head < c.tail && c.seqs[c.head%c.slots] <= c.acked {
+		c.head++
+	}
+	c.sent = max(c.sent, c.head)
+}
+
 // reconnect re-establishes the session after generation gen's transport
 // died: bounded attempts, full-jitter backoff, cancellable at every sleep.
 // On welcome it replays every frame past the daemon's ack (CheckSeq stays
-// gap-free) and retransmits a pending gate request. A rejection (stale
-// session — the lease beat us to it) or an exhausted budget kills the
-// client side terminally.
+// gap-free) and retransmits a pending gate request, holding wmu from
+// installing the connection until the replay is written so no concurrent
+// flush can overtake it. A rejection (stale session — the lease beat us to
+// it) or an exhausted budget kills the client side terminally.
 func (c *Client) reconnect(nc net.Conn, gen uint64) {
 	c.mu.Lock()
 	if c.dead || c.gen != gen {
 		c.mu.Unlock()
 		return // session over, or a resume already replaced this transport
 	}
-	c.conn, c.fw = nil, nil
+	c.conn = nil
 	c.mu.Unlock()
 	nc.Close()
 
@@ -521,7 +637,7 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 			return
 		case <-time.After(resumeBackoff(attempt)):
 		}
-		nc2, fw2, dec2, welcome, err := c.handshake(resume)
+		nc2, dec2, welcome, err := c.handshake(resume)
 		if err != nil {
 			var rej *RejectedError
 			if errors.As(err, &rej) {
@@ -530,39 +646,32 @@ func (c *Client) reconnect(nc net.Conn, gen uint64) {
 			}
 			continue // transient: next rung of the ladder
 		}
+		c.wmu.Lock()
 		c.mu.Lock()
 		if c.dead {
 			c.mu.Unlock()
+			c.wmu.Unlock()
 			nc2.Close()
 			return
 		}
 		c.gen++
 		gen2 := c.gen
-		c.conn, c.fw = nc2, fw2
-		if welcome.Seq > c.acked {
-			c.acked = welcome.Seq
-		}
-		i := 0
-		for i < len(c.replay) && c.replay[i].Seq <= c.acked {
-			i++
-		}
-		replay := append([]ipc.Message(nil), c.replay[i:]...)
-		c.replay = append(c.replay[:0:0], c.replay[i:]...)
+		c.conn = nc2
+		c.acked = max(c.acked, welcome.Seq)
+		c.dropAcked()
+		lo, hi := c.head, c.tail
+		c.sent, c.pinned = hi, lo
 		c.resumes++
 		var gateReq *ipc.Message
 		if c.gateCh != nil {
 			gateReq = &ipc.Message{Op: ipc.OpGateEnter, PID: c.pid, Arg1: uint64(c.gateSys), Arg2: c.gateOrd}
 		}
 		c.mu.Unlock()
-		for _, m := range replay {
-			_ = fw2.WriteMessage(m)
-		}
-		if gateReq != nil {
-			_ = fw2.WriteMessage(*gateReq)
-		}
-		c.cond.Broadcast()
 		c.wg.Add(1)
 		go c.recvLoop(nc2, dec2, gen2)
+		c.writeFrames(nc2, lo, hi, gateReq)
+		c.unpin()
+		c.wmu.Unlock()
 		return
 	}
 	c.die("hqnet: resume attempts exhausted")

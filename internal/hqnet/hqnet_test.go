@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,6 +280,181 @@ func TestResumeReplaysGapFree(t *testing.T) {
 	}
 }
 
+// swallowConn passes writes through until swallow is set, then discards them
+// while reporting success: frames the client believes are on the wire never
+// reach the daemon.
+type swallowConn struct {
+	net.Conn
+	swallow   atomic.Bool
+	swallowed atomic.Int64 // bytes discarded
+}
+
+func (sc *swallowConn) Write(p []byte) (int, error) {
+	if sc.swallow.Load() {
+		sc.swallowed.Add(int64(len(p)))
+		return len(p), nil
+	}
+	return sc.Conn.Write(p)
+}
+
+// stallConn stalls the second and third writes of a connection (the first
+// one after the resume handshake, and the next) by 20ms each, closing
+// stalled when the first stall begins.
+type stallConn struct {
+	net.Conn
+	writes  atomic.Int32
+	stalled chan struct{}
+}
+
+func (sc *stallConn) Write(p []byte) (int, error) {
+	switch sc.writes.Add(1) {
+	case 2:
+		close(sc.stalled)
+		fallthrough
+	case 3:
+		time.Sleep(20 * time.Millisecond)
+	}
+	return sc.Conn.Write(p)
+}
+
+// TestResumeReplayKeepsWireOrder: frames sent while a resume is still
+// writing its replay must reach the daemon behind the whole replay. The first
+// connection swallows 50 frames; the resumed connection stalls its replay
+// write, and meanwhile the program sends one more frame and gates. A frame
+// that overtook the replay would open a counter gap (Seq 51 after a short
+// run of replayed frames) and CheckSeq would kill the clean process.
+func TestResumeReplayKeepsWireOrder(t *testing.T) {
+	first := make(chan *swallowConn, 1)
+	resumed := &stallConn{stalled: make(chan struct{})}
+	var dials atomic.Int32
+	h := newHarness(t,
+		supervisor.Config{CheckSeq: true, KillOnViolation: true, Shards: 2},
+		Config{Lease: 5 * time.Second})
+	c := h.dial(t, ClientConfig{
+		HeartbeatEvery: time.Hour,
+		WrapConn: func(nc net.Conn) net.Conn {
+			switch dials.Add(1) {
+			case 1:
+				sc := &swallowConn{Conn: nc}
+				first <- sc
+				return sc
+			case 2:
+				resumed.Conn = nc
+				return resumed
+			}
+			return nc
+		},
+	})
+	sc := <-first
+	sc.swallow.Store(true)
+	const lost = 50
+	for i := 0; i < lost; i++ {
+		if err := c.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	waitFor(t, 5*time.Second, "frames swallowed", func() bool {
+		return sc.swallowed.Load() >= lost*ipc.MessageSize
+	})
+	sc.Conn.Close() // sever: the client resumes and replays all 50 frames
+
+	select {
+	case <-resumed.stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("resume never started its replay")
+	}
+	if err := c.Send(ipc.Message{Op: ipc.OpSyscall, Arg1: 4}); err != nil {
+		t.Fatalf("send during replay: %v", err)
+	}
+	if err := c.SyscallEnter(c.PID(), 4); err != nil {
+		t.Fatalf("gate during replay: %v (a frame overtook the replay)", err)
+	}
+	if got := c.Resumes(); got != 1 {
+		t.Fatalf("resumes = %d, want 1", got)
+	}
+	c.Close()
+	waitFor(t, 5*time.Second, "session end", func() bool { return h.srv.Sessions() == 0 })
+	if st := h.sys.Stats(); st.Killed != 0 || st.MessagesVerified < lost+1 {
+		t.Fatalf("killed = %d, verified = %d; want 0 kills and >= %d messages", st.Killed, st.MessagesVerified, lost+1)
+	}
+}
+
+// TestViolationDetectedWithoutGate: a frame waiting in the client's write
+// batch must still reach the verifier promptly when the program goes quiet.
+// The client sends one violating frame and then neither sends, gates nor
+// heartbeats; the flush timer writes the frame, the policy kills, and the
+// kill notice reaches the client long before the lease could matter.
+func TestViolationDetectedWithoutGate(t *testing.T) {
+	h := newHarness(t,
+		supervisor.Config{KillOnViolation: true, FlightRecorder: 64, Shards: 2},
+		Config{Lease: 5 * time.Second})
+	c := h.dial(t, ClientConfig{HeartbeatEvery: time.Hour})
+	defer c.Close()
+
+	// A CFI check of a pointer that was never defined.
+	if err := c.Send(ipc.Message{Op: ipc.OpPointerCheck, Arg1: 0x1000, Arg2: 0xdead}); err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Now()
+	waitFor(t, 500*time.Millisecond, "kill notice at the client", func() bool {
+		killed, _ := c.Killed()
+		return killed
+	})
+	if _, reason := c.Killed(); reason == kernel.ReasonLeaseExpired {
+		t.Fatalf("client kill reason = %q, want the policy's", reason)
+	}
+	t.Logf("kill notice %v after the send", time.Since(sent).Round(time.Millisecond))
+	killed, reason := h.killReason(c.PID())
+	if !killed || reason == kernel.ReasonLeaseExpired {
+		t.Fatalf("daemon kill = %t %q, want a policy kill", killed, reason)
+	}
+	waitFor(t, 5*time.Second, "forensic report", func() bool {
+		rep, ok := h.sys.Forensics(c.PID())
+		return ok && rep.Policy == "cfi"
+	})
+}
+
+// TestClientSendSteadyStateZeroAlloc: once the ring, the socket buffers and
+// the daemon's queue are warm, sealed Send bursts, their flushes and the ack
+// trims that free the ring allocate nothing — on either end of a live
+// loopback session, verifier included. Gates are excluded (each gate makes
+// its verdict channel).
+func TestClientSendSteadyStateZeroAlloc(t *testing.T) {
+	factory, err := policy.SetFactory("hmac", "counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t,
+		supervisor.Config{Policies: factory, CheckSeq: true, KillOnViolation: true, Shards: 1},
+		Config{Lease: 5 * time.Second})
+	c := h.dial(t, ClientConfig{HeartbeatEvery: time.Hour})
+	defer c.Close()
+	sender := c.Sender()
+
+	const burst = 4*flushBatch + 17 // whole batches, a timer-flushed tail, ring wrap-around
+	run := func() {
+		for i := 0; i < burst; i++ {
+			if err := sender.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+		}
+		if !c.Flush(5 * time.Second) {
+			t.Fatal("burst never fully acked")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(20, run)
+	if allocs > 0 {
+		t.Fatalf("steady-state sends allocated %.2f times per %d messages (%.6f allocs/msg), want 0",
+			allocs, burst, allocs/burst)
+	}
+	if killed, reason := h.sys.Kernel().Killed(c.PID()); killed {
+		t.Fatalf("clean sealed stream killed: %s", reason)
+	}
+}
+
 // TestAdmissionQuotas exercises both caps: global MaxSessions and the
 // per-tenant quota. Over-cap admission is rejected, never queued.
 func TestAdmissionQuotas(t *testing.T) {
@@ -410,13 +586,10 @@ func TestPIDForgerySevers(t *testing.T) {
 	if err := attacker.Send(ipc.Message{Op: ipc.OpCounterInc, Arg1: 1}); err != nil {
 		t.Fatal(err)
 	}
-	attacker.mu.Lock()
-	fw := attacker.fw
-	attacker.mu.Unlock()
+	// flush writes its control frame verbatim behind the attacker's pending
+	// data, so the forgery reaches the daemon unstamped.
 	forged := ipc.Message{Op: ipc.OpCounterInc, PID: victim.PID(), Seq: 99, Arg1: 1}
-	if err := fw.WriteMessage(forged); err != nil {
-		t.Fatal(err)
-	}
+	attacker.flush(&forged)
 
 	// The forgery severs the attacker's connection; the victim's stream is
 	// untouched — it can still pass a gate.

@@ -7,13 +7,13 @@ import (
 )
 
 // sessionQueue is the bounded hand-off between a session's connection reader
-// and the verifier pump: the reader Sends frames exactly as they arrived on
-// the wire (Seq and Mac preserved verbatim — the resume protocol and the
-// hmac sealer both depend on the daemon never re-stamping a frame), and the
-// pump drains it through the ipc.BatchReceiver interface like any local
-// channel.
+// and the verifier pump: the reader hands over each read burst's data frames
+// exactly as they arrived on the wire (Seq and Mac preserved verbatim — the
+// resume protocol and the hmac sealer both depend on the daemon never
+// re-stamping a frame), and the pump drains it through the
+// ipc.BatchReceiver interface like any local channel.
 //
-// Send blocks while the queue is full. That is the admission-side
+// SendBatch blocks while the queue is full. That is the admission-side
 // backpressure story: a client outrunning the verifier stops being read,
 // which backs up into the transport's own flow control, instead of growing
 // an unbounded in-daemon queue. If the verifier is wedged long enough, the
@@ -23,6 +23,7 @@ type sessionQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []ipc.Message
+	store  []ipc.Message // backing array of buf: compacted, regrown only while too small
 	slots  int
 	closed bool
 	peak   uint64
@@ -37,22 +38,31 @@ func newSessionQueue(slots int) *sessionQueue {
 	return q
 }
 
-// Send enqueues one frame, blocking while the queue is at capacity. Returns
-// ipc.ErrClosed once the queue is closed.
-func (q *sessionQueue) Send(m ipc.Message) error {
+// SendBatch enqueues ms in order under one lock and one wake-up per fill,
+// blocking while the queue is at capacity. Returns ipc.ErrClosed once the
+// queue is closed.
+func (q *sessionQueue) SendBatch(ms []ipc.Message) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.buf) >= q.slots && !q.closed {
-		q.cond.Wait()
+	for len(ms) > 0 {
+		for len(q.buf) >= q.slots && !q.closed {
+			q.cond.Wait()
+		}
+		if q.closed {
+			return ipc.ErrClosed
+		}
+		k := min(q.slots-len(q.buf), len(ms))
+		if cap(q.buf)-len(q.buf) < k && cap(q.store) >= len(q.buf)+k {
+			q.buf = append(q.store[:0], q.buf...) // slide the live frames to the front
+		}
+		q.buf = append(q.buf, ms[:k]...)
+		if cap(q.buf) > cap(q.store) {
+			q.store = q.buf[:0] // grew: adopt the larger backing array
+		}
+		ms = ms[k:]
+		q.peak = max(q.peak, uint64(len(q.buf)))
+		q.cond.Broadcast()
 	}
-	if q.closed {
-		return ipc.ErrClosed
-	}
-	q.buf = append(q.buf, m)
-	if n := uint64(len(q.buf)); n > q.peak {
-		q.peak = n
-	}
-	q.cond.Broadcast()
 	return nil
 }
 

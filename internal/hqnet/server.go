@@ -335,13 +335,20 @@ func (s *Server) resume(c net.Conn, fw *ipc.FrameWriter, dec *ipc.FrameDecoder, 
 	sess.readLoop(c, dec)
 }
 
+// killScanEvery bounds how long a session outlives its process's kill (a
+// policy violation, an epoch expiry) before the scanner ends it and pushes
+// the kill notice, so a client that is neither sending nor gating still
+// learns of the kill promptly.
+const killScanEvery = 20 * time.Millisecond
+
 // leaseScanner kills processes whose sessions have gone silent past the
 // lease. It is the only place a connection-plane failure becomes a kill, so
 // every death it deals is attributable: reason kernel.ReasonLeaseExpired,
-// FlightLeaseExpired stamped with the overshoot.
+// FlightLeaseExpired stamped with the overshoot. It also ends the session of
+// every process killed by other means, which sends the kill notice.
 func (s *Server) leaseScanner() {
 	defer s.wg.Done()
-	tick := s.lease / 4
+	tick := min(s.lease/4, killScanEvery)
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
@@ -355,16 +362,21 @@ func (s *Server) leaseScanner() {
 		}
 		now := time.Now().UnixNano()
 		s.mu.Lock()
-		var expired []*session
+		var expired, killed []*session
 		for _, sess := range s.sessions {
 			if now-sess.lastRecv.Load() > int64(s.lease) {
 				expired = append(expired, sess)
+			} else if k, _ := s.sys.Kernel().Killed(sess.pid); k {
+				killed = append(killed, sess)
 			}
 		}
 		s.mu.Unlock()
 		for _, sess := range expired {
 			overdue := time.Duration(now - sess.lastRecv.Load() - int64(s.lease))
 			s.expireLease(sess, overdue)
+		}
+		for _, sess := range killed {
+			sess.end()
 		}
 	}
 }

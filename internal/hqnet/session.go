@@ -29,6 +29,9 @@ type session struct {
 	// lease scanner.
 	lastRecv atomic.Int64
 
+	// feed serializes hand-offs to the queue (see forward).
+	feed sync.Mutex
+
 	mu      sync.Mutex
 	conn    net.Conn         // live transport; nil while severed
 	fw      *ipc.FrameWriter // writer over conn; nil while severed
@@ -98,6 +101,10 @@ func (s *session) write(m ipc.Message) {
 	}
 }
 
+// readBurst is how many frames the session reader decodes per read, and so
+// the most data frames one queue hand-off carries.
+const readBurst = 256
+
 // readLoop drains one connection until it dies or the session ends. All
 // three stream endings — clean EOF, truncation mid-frame, undecodable
 // garbage — are connection deaths, not process deaths: unlike the local fd
@@ -106,77 +113,102 @@ func (s *session) write(m ipc.Message) {
 // client retransmits it from the replay buffer. The process only dies if no
 // resume arrives within the lease, and then attributably so.
 func (s *session) readLoop(c net.Conn, dec *ipc.FrameDecoder) {
-	var buf [64]ipc.Message
+	var buf [readBurst]ipc.Message
 	for {
 		n, ok, _ := dec.Decode(buf[:])
-		forwarded := false
-		for i := 0; i < n; i++ {
-			cont, fwdOne := s.handleFrame(buf[i])
-			forwarded = forwarded || fwdOne
-			if !cont {
-				s.sever(c)
-				return
-			}
+		if n > 0 {
+			s.touch()
 		}
+		cont, forwarded := s.handleBurst(buf[:n])
 		if forwarded {
 			// Cumulative ack per burst: lets the client trim its replay
 			// buffer without waiting for the next heartbeat ack.
 			s.write(ipc.Message{Op: ipc.OpAck, PID: s.pid, Seq: s.ackSeq()})
 		}
-		if !ok {
+		if !cont || !ok {
 			s.sever(c)
 			return
 		}
 	}
 }
 
-// handleFrame processes one frame from the client. cont=false severs the
-// connection (protocol violation or session end); forwarded reports whether
-// the frame was a data frame handed to the verifier pump.
-func (s *session) handleFrame(m ipc.Message) (cont, forwarded bool) {
-	s.touch()
+// handleBurst processes one decoded burst in wire order. Data frames of this
+// session collect, compacted in place, into one pending batch that reaches
+// the verifier pump in a single hand-off — before any control frame and at
+// the end of the burst, so gates and goodbyes still follow every data frame
+// sent ahead of them. cont=false severs the connection (protocol violation
+// or session end); forwarded reports whether any data frame was handed on.
+func (s *session) handleBurst(ms []ipc.Message) (cont, forwarded bool) {
+	pending := ms[:0]
+	for _, m := range ms {
+		// The session is the authenticity boundary: a data frame claiming
+		// another process's identity is not data of this session (it falls
+		// to handleControl, which severs) — otherwise a compromised client
+		// could splice violations into a bystander's stream (or burn the
+		// bystander with a counter gap).
+		if !m.Op.IsSessionOp() && m.PID == s.pid {
+			pending = append(pending, m) // never overtakes the range cursor
+			continue
+		}
+		ok, fwd := s.forward(pending)
+		forwarded = forwarded || fwd
+		if !ok || !s.handleControl(m) {
+			return false, forwarded
+		}
+		pending = ms[:0]
+	}
+	ok, fwd := s.forward(pending)
+	return ok, forwarded || fwd
+}
+
+// handleControl processes one frame that is not a data frame of this
+// session; false severs the connection.
+func (s *session) handleControl(m ipc.Message) bool {
 	switch m.Op {
 	case ipc.OpHeartbeat:
 		s.write(ipc.Message{Op: ipc.OpHeartbeatAck, PID: s.pid, Seq: s.ackSeq()})
-		return true, false
+		return true
 	case ipc.OpGateEnter:
 		s.gate(m.Arg1, m.Arg2)
-		return true, false
+		return true
 	case ipc.OpGoodbye:
 		s.end()
-		return false, false
+		return false
 	}
-	if m.Op.IsSessionOp() {
-		// A duplicate HELLO (or any daemon-side op arriving from a client)
-		// is a protocol violation: sever and let the lease sort the process
-		// out. No state changes on a violating frame.
-		return false, false
-	}
-	// Data frame. The session is the authenticity boundary: a frame claiming
-	// another process's identity is dropped and the connection severed —
-	// otherwise a compromised client could splice violations into a
-	// bystander's stream (or burn the bystander with a counter gap).
-	if m.PID != s.pid {
-		return false, false
-	}
+	// A duplicate HELLO (or any daemon-side op arriving from a client), or a
+	// data frame with a forged PID, is a protocol violation: sever and let
+	// the lease sort the process out. No state changes on a violating frame.
+	return false
+}
+
+// forward runs the resume-overlap check on each data frame of a batch and
+// hands the survivors to the verifier pump in one queue hand-off. The feed
+// lock spans check and hand-off, so the readers of a dying connection and
+// of its resumption never interleave or reorder their batches. ok=false
+// means the queue closed: the session ended under us.
+func (s *session) forward(batch []ipc.Message) (ok, forwarded bool) {
+	s.feed.Lock()
+	defer s.feed.Unlock()
 	s.mu.Lock()
-	if m.Seq != 0 && m.Seq <= s.fwd {
-		// Resume retransmission overlap: already forwarded, drop silently.
-		// Genuine gaps (Seq jumping past fwd+1) are forwarded as-is — the
-		// verifier's CheckSeq owns that judgment, and a client that loses
-		// messages *inside* its own stream must die by counter, not be
-		// repaired by the transport.
-		s.mu.Unlock()
-		return true, false
-	}
-	if m.Seq > s.fwd {
-		s.fwd = m.Seq
+	keep := batch[:0]
+	for _, m := range batch {
+		if m.Seq != 0 && m.Seq <= s.fwd {
+			// Resume retransmission overlap: already forwarded, drop
+			// silently. Genuine gaps (Seq jumping past fwd+1) are forwarded
+			// as-is — the verifier's CheckSeq owns that judgment, and a
+			// client that loses messages *inside* its own stream must die
+			// by counter, not be repaired by the transport.
+			continue
+		}
+		s.fwd = max(s.fwd, m.Seq)
+		keep = append(keep, m)
 	}
 	s.mu.Unlock()
-	if err := s.queue.Send(m); err != nil {
-		return false, false // queue closed: session ended under us
+	if len(keep) == 0 {
+		return true, false
 	}
-	return true, true
+	ok = s.queue.SendBatch(keep) == nil
+	return ok, ok
 }
 
 // gate runs bounded asynchronous validation for one remote system call.
