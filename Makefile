@@ -16,11 +16,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# check is the CI gate: vet, build, the full test suite under the race
+# check is the CI gate: gofmt, vet, build, the full test suite under the race
 # detector, a smoke run of the telemetry experiment end-to-end, and the
 # multi-process supervisor smoke (racy concurrent launches + one small
 # multiproc scaling measurement).
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -103,12 +104,13 @@ verify:
 # frame boundaries), a lease-expiry kill, and the handshake-abuse battery.
 # Deterministic seed — safe for CI. Last, the benchmark's own correctness
 # gate: all three hqperf workloads at a tiny size with every output check
-# (hqperf is a separate module, so it runs from its directory).
+# (hqperf is a separate module, so it runs from its directory), under the race
+# detector too.
 hqd-smoke:
 	$(GO) test -race -count=1 ./internal/hqnet
 	$(GO) test -race -count=1 -run 'Conn|Socketpair|Frame' ./internal/chaos
 	$(GO) run -race ./cmd/hqbench -exp hqd -quick >/dev/null
-	cd hqperf && $(GO) test -count=1 .
+	cd hqperf && $(GO) test -race -count=1 .
 
 # hqd runs the full networked soak and persists the JSON artifact.
 hqd:
@@ -129,12 +131,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke keeps the hot path honest in CI: a short run of the verifier
-# throughput benchmarks (catching gross regressions and alloc creep via
-# -benchmem) plus a quick shard-scaling ladder. The ladder's JSON goes to a
-# temporary file, so the committed BENCH_scaling.json keeps the full run
-# (regenerate it with make scaling).
+# throughput benchmarks and of the VM running a whole program (catching gross
+# regressions and alloc creep via -benchmem) plus a quick shard-scaling
+# ladder. The ladder's JSON goes to a temporary file, so the committed
+# BENCH_scaling.json keeps the full run (regenerate it with make scaling).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifierThroughput' -benchtime 200ms -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVMRun' -benchtime 200ms -benchmem ./internal/vm
 	tmp=$$(mktemp -d) && $(GO) run ./cmd/hqbench -exp scaling -quick -out $$tmp/BENCH_scaling.json >/dev/null; \
 		status=$$?; rm -rf $$tmp; exit $$status
 

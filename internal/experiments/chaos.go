@@ -101,11 +101,11 @@ func chaosVictim(corrupt bool) (*mir.Module, error) {
 // into a failing one.
 func chaosAttributable(reason string, hadViolations bool) bool {
 	for _, marker := range []string{
-		"message counter",                // CheckSeq (§3.1.1)
-		"synchronization epoch expired",  // §2.2 deadline, incl. wedged detail
-		"message integrity violated",     // receiver-attributed framing error
-		"message authentication",         // hmac sealer: MAC mismatch or stream position
-		"poisoned",                       // shard poisoned by a delivery-path failure
+		"message counter",               // CheckSeq (§3.1.1)
+		"synchronization epoch expired", // §2.2 deadline, incl. wedged detail
+		"message integrity violated",    // receiver-attributed framing error
+		"message authentication",        // hmac sealer: MAC mismatch or stream position
+		"poisoned",                      // shard poisoned by a delivery-path failure
 	} {
 		if strings.Contains(reason, marker) {
 			return true
@@ -116,13 +116,13 @@ func chaosAttributable(reason string, hadViolations bool) bool {
 
 // chaosSoakReport summarizes one enforcement soak run.
 type chaosSoakReport struct {
-	procs, violators         int
-	cleanOK, cleanKilled     int
-	violatorsKilled          int
-	kills                    uint64
-	faults                   chaos.Counts
-	scheduleHash             uint64
-	elapsed                  time.Duration
+	procs, violators     int
+	cleanOK, cleanKilled int
+	violatorsKilled      int
+	kills                uint64
+	faults               chaos.Counts
+	scheduleHash         uint64
+	elapsed              time.Duration
 }
 
 // chaosSoak runs the enforcement phase: procs mixed clean/violating

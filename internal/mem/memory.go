@@ -9,6 +9,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -80,15 +81,38 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x (need %s)", f.Kind, f.Addr, f.Need)
 }
 
-// page is one mapped page: permissions plus backing bytes.
+// page is one mapped page: permissions plus backing bytes. The backing is
+// demand-zero: it stays nil until the first store (storing zeros through
+// the word, byte and block operations leaves it nil), and reads of an
+// untouched page see zeros.
 type page struct {
 	perm Perm
-	data [PageSize]byte
+	data *[PageSize]byte
 }
 
-// Memory is a sparse paged address space.
+// backing returns the page's bytes, allocating them on first use.
+func (pg *page) backing() *[PageSize]byte {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	}
+	return pg.data
+}
+
+// tlbSize is the number of entries in the direct-mapped translation cache.
+const tlbSize = 64
+
+// tlbEntry caches one page-map lookup. It holds the *page itself, so a
+// Protect is visible through the cache at once; Unmap clears the entry.
+type tlbEntry struct {
+	base uint64
+	pg   *page // nil marks an empty entry
+}
+
+// Memory is a sparse paged address space. A Memory is not safe for
+// concurrent use: even reads fill its translation cache.
 type Memory struct {
 	pages map[uint64]*page
+	tlb   [tlbSize]tlbEntry
 }
 
 // New creates an empty address space.
@@ -96,9 +120,25 @@ func New() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
+// lookup returns the page containing addr, or nil when none is mapped. Hits
+// are served from the translation cache in front of the page map.
+func (m *Memory) lookup(addr uint64) *page {
+	base := addr &^ (PageSize - 1)
+	e := &m.tlb[(addr/PageSize)%tlbSize]
+	if e.base == base && e.pg != nil {
+		return e.pg
+	}
+	pg := m.pages[base]
+	if pg != nil {
+		e.base, e.pg = base, pg
+	}
+	return pg
+}
+
 // Map maps [addr, addr+size) with the given permissions. Both bounds are
 // rounded outward to page boundaries. Mapping over an existing page fails:
-// segments are laid out disjointly by the loader.
+// segments are laid out disjointly by the loader. Only the permissions are
+// recorded; each page's backing is allocated on its first store.
 func (m *Memory) Map(addr, size uint64, perm Perm) error {
 	if size == 0 {
 		return fmt.Errorf("mem: zero-size mapping at %#x", addr)
@@ -110,8 +150,10 @@ func (m *Memory) Map(addr, size uint64, perm Perm) error {
 			return fmt.Errorf("mem: page %#x already mapped", p)
 		}
 	}
-	for p := start; p < end; p += PageSize {
-		m.pages[p] = &page{perm: perm}
+	pages := make([]page, (end-start)/PageSize)
+	for i := range pages {
+		pages[i].perm = perm
+		m.pages[start+uint64(i)*PageSize] = &pages[i]
 	}
 	return nil
 }
@@ -136,18 +178,26 @@ func (m *Memory) Unmap(addr, size uint64) {
 	end := (addr + size + PageSize - 1) &^ (PageSize - 1)
 	for p := start; p < end; p += PageSize {
 		delete(m.pages, p)
+		if e := &m.tlb[(p/PageSize)%tlbSize]; e.base == p {
+			*e = tlbEntry{}
+		}
 	}
 }
 
 // PermAt returns the permissions of the page containing addr, and whether a
 // page is mapped there at all.
 func (m *Memory) PermAt(addr uint64) (Perm, bool) {
-	pg, ok := m.pages[addr&^(PageSize-1)]
-	if !ok {
+	pg := m.lookup(addr)
+	if pg == nil {
 		return 0, false
 	}
 	return pg.perm, true
 }
+
+// writable reports whether an ordinary store may write pg: an Append page
+// rejects ordinary writes even when Write is also set (the AMR property of
+// §2.3.2).
+func (pg *page) writable() bool { return pg.perm&(Write|Append) == Write }
 
 // check verifies that every byte of [addr, addr+n) is mapped with need.
 // An Append page rejects ordinary writes even when Write is also set,
@@ -161,15 +211,15 @@ func (m *Memory) check(addr, n uint64, need Perm) error {
 		return &Fault{Addr: addr, Kind: FaultUnmapped, Need: need}
 	}
 	for p := addr &^ (PageSize - 1); p < end; p += PageSize {
-		pg, ok := m.pages[p]
-		if !ok {
-			return &Fault{Addr: max64(p, addr), Kind: FaultUnmapped, Need: need}
+		pg := m.lookup(p)
+		if pg == nil {
+			return &Fault{Addr: max(p, addr), Kind: FaultUnmapped, Need: need}
 		}
 		if pg.perm&need != need {
-			return &Fault{Addr: max64(p, addr), Kind: FaultPerm, Need: need}
+			return &Fault{Addr: max(p, addr), Kind: FaultPerm, Need: need}
 		}
 		if need&Write != 0 && pg.perm&Append != 0 {
-			return &Fault{Addr: max64(p, addr), Kind: FaultPerm, Need: need}
+			return &Fault{Addr: max(p, addr), Kind: FaultPerm, Need: need}
 		}
 	}
 	return nil
@@ -215,78 +265,156 @@ func (m *Memory) WriteUnchecked(addr uint64, src []byte) error {
 	return nil
 }
 
+// copyOut and copyIn move bytes of a range check has already admitted.
 func (m *Memory) copyOut(addr uint64, dst []byte) {
 	for len(dst) > 0 {
-		pg := m.pages[addr&^(PageSize-1)]
+		pg := m.lookup(addr)
 		off := addr & (PageSize - 1)
-		n := copy(dst, pg.data[off:])
+		n := min(uint64(len(dst)), PageSize-off)
+		if pg.data == nil {
+			clear(dst[:n])
+		} else {
+			copy(dst, pg.data[off:off+n])
+		}
 		dst = dst[n:]
-		addr += uint64(n)
+		addr += n
 	}
 }
 
 func (m *Memory) copyIn(addr uint64, src []byte) {
 	for len(src) > 0 {
-		pg := m.pages[addr&^(PageSize-1)]
+		pg := m.lookup(addr)
 		off := addr & (PageSize - 1)
-		n := copy(pg.data[off:], src)
+		n := copy(pg.backing()[off:], src)
 		src = src[n:]
 		addr += uint64(n)
 	}
 }
 
-// ReadWord loads a 64-bit little-endian word.
+// ReadWord loads a 64-bit little-endian word. A word inside one readable
+// page is read in place; anything else takes the general path, which also
+// builds the fault.
 func (m *Memory) ReadWord(addr uint64) (uint64, error) {
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		if pg := m.lookup(addr); pg != nil && pg.perm&Read != 0 {
+			if pg.data == nil {
+				return 0, nil
+			}
+			return binary.LittleEndian.Uint64(pg.data[off:]), nil
+		}
+	}
 	var b [8]byte
 	if err := m.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return leU64(b[:]), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteWord stores a 64-bit little-endian word.
+// WriteWord stores a 64-bit little-endian word, in place when the word lies
+// inside one writable page. Storing zero to an untouched page leaves it
+// untouched.
 func (m *Memory) WriteWord(addr, v uint64) error {
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		if pg := m.lookup(addr); pg != nil && pg.writable() {
+			if v != 0 || pg.data != nil {
+				binary.LittleEndian.PutUint64(pg.backing()[off:], v)
+			}
+			return nil
+		}
+	}
 	var b [8]byte
-	putLeU64(b[:], v)
+	binary.LittleEndian.PutUint64(b[:], v)
 	return m.Write(addr, b[:])
 }
 
 // LoadByte loads one byte.
 func (m *Memory) LoadByte(addr uint64) (byte, error) {
-	var b [1]byte
-	if err := m.Read(addr, b[:]); err != nil {
-		return 0, err
+	pg := m.lookup(addr)
+	if pg == nil || pg.perm&Read == 0 {
+		return 0, m.check(addr, 1, Read)
 	}
-	return b[0], nil
+	if pg.data == nil {
+		return 0, nil
+	}
+	return pg.data[addr&(PageSize-1)], nil
 }
 
 // StoreByte stores one byte.
 func (m *Memory) StoreByte(addr uint64, v byte) error {
-	return m.Write(addr, []byte{v})
+	pg := m.lookup(addr)
+	if pg == nil || !pg.writable() {
+		return m.check(addr, 1, Write)
+	}
+	if v != 0 || pg.data != nil {
+		pg.backing()[addr&(PageSize-1)] = v
+	}
+	return nil
 }
 
 // Memmove copies n bytes from src to dst, handling overlap like memmove(3).
+// Both ranges are checked before any byte moves, so a fault leaves memory
+// unwritten. The copy runs in chunks that stay inside one source and one
+// destination page, backward when dst overlaps the tail of src.
 func (m *Memory) Memmove(dst, src, n uint64) error {
 	if n == 0 {
 		return nil
 	}
-	buf := make([]byte, n)
-	if err := m.Read(src, buf); err != nil {
+	if err := m.check(src, n, Read); err != nil {
 		return err
 	}
-	return m.Write(dst, buf)
-}
-
-// Memset fills [addr, addr+n) with v.
-func (m *Memory) Memset(addr uint64, v byte, n uint64) error {
-	if n == 0 {
+	if err := m.check(dst, n, Write); err != nil {
+		return err
+	}
+	if dst <= src || dst >= src+n {
+		for n > 0 {
+			c := min(n, PageSize-dst&(PageSize-1), PageSize-src&(PageSize-1))
+			m.moveChunk(dst, src, c)
+			dst, src, n = dst+c, src+c, n-c
+		}
 		return nil
 	}
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = v
+	for n > 0 {
+		de, se := dst+n, src+n
+		c := min(n, (de-1)&(PageSize-1)+1, (se-1)&(PageSize-1)+1)
+		m.moveChunk(de-c, se-c, c)
+		n -= c
 	}
-	return m.Write(addr, buf)
+	return nil
+}
+
+// moveChunk copies n bytes within one source and one destination page.
+func (m *Memory) moveChunk(dst, src, n uint64) {
+	sp, dp := m.lookup(src), m.lookup(dst)
+	if sp.data == nil && dp.data == nil {
+		return // zeros onto zeros
+	}
+	d := dp.backing()[dst&(PageSize-1):][:n]
+	if sp.data == nil {
+		clear(d)
+		return
+	}
+	copy(d, sp.data[src&(PageSize-1):][:n])
+}
+
+// Memset fills [addr, addr+n) with v. The range is checked before any byte
+// is written, so a fault leaves memory unwritten.
+func (m *Memory) Memset(addr uint64, v byte, n uint64) error {
+	if err := m.check(addr, n, Write); err != nil {
+		return err
+	}
+	for n > 0 {
+		pg := m.lookup(addr)
+		off := addr & (PageSize - 1)
+		c := min(n, PageSize-off)
+		if v != 0 || pg.data != nil {
+			b := pg.backing()[off : off+c]
+			for i := range b {
+				b[i] = v
+			}
+		}
+		addr, n = addr+c, n-c
+	}
+	return nil
 }
 
 // MappedRanges returns the mapped regions as sorted [start, end) pairs,
@@ -320,27 +448,4 @@ type Range struct {
 
 func (r Range) String() string {
 	return fmt.Sprintf("[%#x,%#x) %s", r.Start, r.End, r.Perm)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLeU64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

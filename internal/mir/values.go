@@ -49,8 +49,9 @@ func (f *FuncRef) Type() *Type { return Ptr(f.Fn.Sig) }
 // Ref implements Value.
 func (f *FuncRef) Ref() string { return "@" + f.Fn.Name }
 
-// Global is a module-level variable. Its address is assigned by the loader;
-// Init provides initial bytes (zero-filled when nil). ReadOnly globals are
+// Global is a module-level variable. Each process that loads the module
+// assigns its address and keeps it (vm.Process.GlobalAddr), so one module can
+// be loaded by many processes at once. Init provides initial bytes (zero-filled when nil). ReadOnly globals are
 // mapped without write permission, modelling read-only relocations and
 // constant data (§4.1.3): control-flow pointers stored there need no
 // protection.
@@ -64,8 +65,6 @@ type Global struct {
 	InitWords []uint64
 	// InitFuncs maps word index -> function whose address initializes it.
 	InitFuncs map[int]*Func
-	// Addr is assigned when the module is loaded into a VM.
-	Addr uint64
 	// Segment selects the loader segment: "data" (initialized) or "bss".
 	// RIPE distinguishes overflow origins by segment (§5.2).
 	Segment string

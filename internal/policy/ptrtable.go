@@ -16,12 +16,12 @@ import "math/bits"
 // Not safe for concurrent use — policy state is confined to one verifier
 // shard, which serializes access per process (verifier shard lock).
 type ptrTable struct {
-	ctrl []uint8    // one of ptrSlotEmpty / ptrSlotFull / ptrSlotDead per slot
-	ents []ptrEntry // key/value pairs, valid where ctrl is ptrSlotFull
-	live int        // full slots
-	used int        // full + tombstoned slots (probe-chain occupancy)
-	mask uint64     // len(ctrl)-1; capacity is always a power of two
-	shift uint      // 64 - log2(len(ctrl)), for the multiply-shift hash
+	ctrl  []uint8    // one of ptrSlotEmpty / ptrSlotFull / ptrSlotDead per slot
+	ents  []ptrEntry // key/value pairs, valid where ctrl is ptrSlotFull
+	live  int        // full slots
+	used  int        // full + tombstoned slots (probe-chain occupancy)
+	mask  uint64     // len(ctrl)-1; capacity is always a power of two
+	shift uint       // 64 - log2(len(ctrl)), for the multiply-shift hash
 }
 
 type ptrEntry struct{ key, val uint64 }

@@ -98,7 +98,7 @@ func (s *System) Admit(recv ipc.Receiver) (*Remote, error) {
 		}
 	}
 	if pp, ok := recv.(ipc.PeakPender); ok {
-		r.rec.peak = pp
+		r.rec.peak.Store(&peakSource{pp})
 	}
 	s.mu.Lock()
 	s.records[pid] = r.rec
@@ -123,7 +123,7 @@ func (r *Remote) finalize() {
 	<-r.drained
 
 	killed, reason := s.k.Killed(r.pid)
-	final := s.liveProcStats(r.rec)
+	final := s.freeze(r.rec)
 	if final.State != stateKilled {
 		if killed {
 			final.State, final.KillReason = stateKilled, reason

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"herqules/internal/compiler"
@@ -221,11 +222,26 @@ const maxProcRecords = 4096
 // context and the channel's pending peak; once it finishes, the final row is
 // frozen here (the live sources tear their state down on exit).
 type procRecord struct {
-	pid      int32
-	started  int64           // UnixNano at launch
-	peak     ipc.PeakPender  // per-channel pending high-water; nil without telemetry or channel
+	pid     int32
+	started int64 // UnixNano at launch
+	// peak is the channel's pending high-water source while the process
+	// runs: nil without telemetry or channel, and cleared when the row is
+	// frozen, so a finished record does not pin the channel and its ring.
+	// Atomic because liveProcStats reads it without s.mu.
+	peak     atomic.Pointer[peakSource]
 	final    *ProcStats      // frozen at exit; nil while running
 	forensic *ForensicReport // kill postmortem, retained past verifier teardown
+}
+
+// peakSource boxes a channel's PeakPender for procRecord.peak.
+type peakSource struct{ ipc.PeakPender }
+
+// freeze assembles the record's live row for finishing and drops its
+// channel reference; the caller completes the row and stores it in final.
+func (s *System) freeze(rec *procRecord) ProcStats {
+	ps := s.liveProcStats(rec)
+	rec.peak.Store(nil)
+	return ps
 }
 
 // New constructs a System: kernel and verifier are created once, wired
@@ -439,7 +455,7 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 		// The telemetry wrapper (when wired) tracks this channel's own
 		// pending high-water mark; keep a handle for per-PID attribution.
 		if pp, ok := ch.Receiver.(ipc.PeakPender); ok {
-			rec.peak = pp
+			rec.peak.Store(&peakSource{pp})
 		}
 	}
 	s.mu.Lock()
@@ -477,7 +493,7 @@ func (s *System) Launch(ins *compiler.Instrumented, opts LaunchOptions) (*Proc, 
 		// Freeze the per-PID attribution row while the verifier context and
 		// kernel context are still alive — Exit below tears both down, and a
 		// later /procs scrape must still see this PID's totals.
-		final := s.liveProcStats(rec)
+		final := s.freeze(rec)
 		if final.State != stateKilled {
 			if res.Killed {
 				final.State, final.KillReason = stateKilled, res.KillReason
@@ -602,7 +618,8 @@ type ProcStats struct {
 // liveProcStats assembles a row for a still-registered process from the live
 // sources (verifier shard, kernel context, channel peak). Each source takes
 // its own lock; s.mu must NOT be held. rec's identity fields are immutable
-// after Launch, so reading them unlocked is safe.
+// after Launch and its peak source is atomic, so reading them unlocked is
+// safe.
 func (s *System) liveProcStats(rec *procRecord) ProcStats {
 	ps := ProcStats{PID: rec.pid, State: stateRunning, StartedUnixNanos: rec.started}
 	if vs, ok := s.v.ProcStats(rec.pid); ok {
@@ -619,8 +636,8 @@ func (s *System) liveProcStats(rec *procRecord) ProcStats {
 	if killed, reason := s.k.Killed(rec.pid); killed {
 		ps.State, ps.KillReason = stateKilled, reason
 	}
-	if rec.peak != nil {
-		ps.PendingPeak = rec.peak.PendingPeak()
+	if pp := rec.peak.Load(); pp != nil {
+		ps.PendingPeak = pp.PendingPeak()
 	}
 	return ps
 }

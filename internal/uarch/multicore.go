@@ -28,12 +28,14 @@ type MultiCore struct {
 }
 
 // NewMultiCore maps one AMR of amrSize bytes per core inside memory,
-// starting at base, with a one-page gap between AMRs.
+// starting at base, with a one-page gap between AMRs. The devices share one
+// lock, because they share one Memory.
 func NewMultiCore(memory *mem.Memory, base uint64, cores int, amrSize uint64) (*MultiCore, error) {
 	mc := &MultiCore{}
+	mu := new(sync.Mutex)
 	addr := base
 	for i := 0; i < cores; i++ {
-		d, err := NewDevice(memory, addr, amrSize)
+		d, err := newDevice(memory, addr, amrSize, mu)
 		if err != nil {
 			return nil, err
 		}

@@ -55,7 +55,9 @@ type FaultHandler func(c *Core) bool
 // Device is one AMR plus the core registers of its writer and the shared
 // read cursor of its reader.
 type Device struct {
-	mu   sync.Mutex
+	// mu guards the device and its accesses to memory, which is not safe
+	// for concurrent use: the devices of one MultiCore share one mu.
+	mu   *sync.Mutex
 	cond *sync.Cond
 
 	memory *mem.Memory
@@ -74,6 +76,10 @@ type Device struct {
 // initializes the writer core's registers. The pages are mapped with the
 // Append permission: ordinary guest stores to them fault in the MMU.
 func NewDevice(memory *mem.Memory, base, size uint64) (*Device, error) {
+	return newDevice(memory, base, size, new(sync.Mutex))
+}
+
+func newDevice(memory *mem.Memory, base, size uint64, mu *sync.Mutex) (*Device, error) {
 	if size%ipc.MessageSize != 0 {
 		return nil, fmt.Errorf("uarch: AMR size %d not a multiple of message size", size)
 	}
@@ -81,13 +87,14 @@ func NewDevice(memory *mem.Memory, base, size uint64) (*Device, error) {
 		return nil, fmt.Errorf("uarch: mapping AMR: %w", err)
 	}
 	d := &Device{
+		mu:       mu,
 		memory:   memory,
 		base:     base,
 		size:     size,
 		core:     Core{AppendAddr: base, MaxAppendAddr: base + size},
 		readAddr: base,
 	}
-	d.cond = sync.NewCond(&d.mu)
+	d.cond = sync.NewCond(d.mu)
 	// Default kernel fault handler: reset the registers once the AMR has
 	// been fully read (§2.3.2), waiting for the reader to drain.
 	d.onFault = func(c *Core) bool {
@@ -243,8 +250,8 @@ func (s deviceSender) Close() error             { return s.d.Close() }
 // deviceReceiver adapts Device to ipc.Receiver.
 type deviceReceiver struct{ d *Device }
 
-func (r deviceReceiver) Recv() (ipc.Message, bool, error)         { return r.d.Recv() }
-func (r deviceReceiver) TryRecv() (ipc.Message, bool, error)      { return r.d.TryRecv() }
+func (r deviceReceiver) Recv() (ipc.Message, bool, error)    { return r.d.Recv() }
+func (r deviceReceiver) TryRecv() (ipc.Message, bool, error) { return r.d.TryRecv() }
 func (r deviceReceiver) RecvBatch(out []ipc.Message) (int, bool, error) {
 	return r.d.RecvBatch(out)
 }

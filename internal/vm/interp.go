@@ -15,13 +15,12 @@ var (
 )
 
 // frame is one activation record. Its storage lives in guest memory
-// ([base, base+frameSize) on the regular stack); vals are the SSA register
-// file.
+// ([base, base+frameSize) on the regular stack); vals are its registers on
+// the process's value stack, and imm its function's immediate pool.
 type frame struct {
-	fn          *mir.Func
-	meta        *funcMeta
-	args        []uint64
+	code        *funcCode
 	vals        []uint64
+	imm         []uint64
 	base        uint64
 	inFrameSlot uint64 // where the return slot would live on a plain stack
 	retSlot     uint64 // where the return slot actually lives
@@ -37,7 +36,10 @@ func (p *Process) Run(entry string, args ...uint64) *Result {
 		p.res.Err = fmt.Errorf("vm: no entry function %q", entry)
 		return p.res
 	}
-	ret, err := p.call(fn, args, exitToken)
+	fc := p.codeOf[fn]
+	regs := p.pushRegs(fc.nregs)
+	copy(regs[:fc.nparams], args)
+	ret, err := p.call(fc, regs, exitToken)
 	switch {
 	case err == nil:
 		p.res.ExitCode = ret
@@ -56,237 +58,259 @@ func (p *Process) Run(entry string, args ...uint64) *Result {
 	return p.res
 }
 
-// call pushes a frame for fn and executes it. retVal is the encoded return
-// address stored in the frame's return slot.
-func (p *Process) call(fn *mir.Func, args []uint64, retVal uint64) (uint64, error) {
-	if fn.Intrinsic {
-		return p.intrinsic(fn, args)
+// pushRegs reserves n zeroed registers on top of the value stack. The
+// caller pops them by restoring regTop.
+func (p *Process) pushRegs(n int) []uint64 {
+	top := p.regTop + n
+	if top > len(p.regs) {
+		// Live frames keep their slices of the old array, so the new
+		// one need not copy it.
+		p.regs = make([]uint64, max(2*len(p.regs), top, 1024))
 	}
-	if len(fn.Blocks) == 0 {
-		return 0, fmt.Errorf("vm: call of bodyless function @%s", fn.Name)
-	}
-	p.depth++
-	defer func() { p.depth-- }()
-	if p.depth > p.res.Stats.MaxDepth {
-		p.res.Stats.MaxDepth = p.depth
-	}
-	if p.depth > 4096 {
-		return 0, &mem.Fault{Addr: p.sp, Kind: mem.FaultUnmapped, Need: mem.Write}
-	}
-	meta := p.funcMeta[fn]
-	if p.sp < stackLow+meta.frameSize {
-		return 0, &mem.Fault{Addr: p.sp, Kind: mem.FaultUnmapped, Need: mem.Write}
-	}
-	p.sp -= meta.frameSize
-	fr := &frame{
-		fn:          fn,
-		meta:        meta,
-		args:        args,
-		vals:        make([]uint64, fn.NumValues),
-		base:        p.sp,
-		inFrameSlot: p.sp + meta.frameSize - 8,
-	}
-	defer func() { p.sp += meta.frameSize }()
+	r := p.regs[p.regTop:top:top]
+	clear(r)
+	p.regTop = top
+	return r
+}
 
+// invoke calls callee with the caller's operands args as its arguments:
+// they fill the callee's parameter registers, truncated or zero-padded to
+// its arity (a hijacked or signature-confused transfer passes whatever
+// happens to be in registers).
+func (p *Process) invoke(fr *frame, callee *funcCode, args []operand, retVal uint64) (uint64, error) {
+	top := p.regTop
+	regs := p.pushRegs(callee.nregs)
+	for i, a := range args[:min(len(args), callee.nparams)] {
+		regs[i] = fr.get(a)
+	}
+	ret, err := p.call(callee, regs, retVal)
+	p.regTop = top
+	return ret, err
+}
+
+// call pushes a frame for fc, whose registers regs already hold the
+// arguments, and executes it. retVal is the encoded return address stored in
+// the frame's return slot.
+func (p *Process) call(fc *funcCode, regs []uint64, retVal uint64) (uint64, error) {
+	if fc.fn.Intrinsic {
+		return p.intrinsic(fc.fn, regs[:fc.nparams])
+	}
+	if len(fc.blocks) == 0 {
+		return 0, fmt.Errorf("vm: call of bodyless function @%s", fc.fn.Name)
+	}
+	depth := p.depth + 1
+	if depth > p.res.Stats.MaxDepth {
+		p.res.Stats.MaxDepth = depth
+	}
+	if depth > 4096 {
+		return 0, &mem.Fault{Addr: p.sp, Kind: mem.FaultUnmapped, Need: mem.Write}
+	}
+	if p.sp < stackLow+fc.frameSize {
+		return 0, &mem.Fault{Addr: p.sp, Kind: mem.FaultUnmapped, Need: mem.Write}
+	}
+	p.depth = depth
+	p.sp -= fc.frameSize
+	fr := frame{
+		code:        fc,
+		vals:        regs,
+		imm:         fc.imm,
+		base:        p.sp,
+		inFrameSlot: p.sp + fc.frameSize - 8,
+		retSlot:     p.sp + fc.frameSize - 8,
+		retVal:      retVal,
+	}
 	// Place the return slot per the active design (§6.3.4). The frame's
 	// safe area holds the return slot followed by any safe-slot locals.
+	var safeFrame uint64
 	if p.safeBase != 0 {
 		fr.safeBase = p.safeTop
 		fr.retSlot = fr.safeBase
-		safeFrame := 8 + meta.safeSize
+		safeFrame = 8 + fc.safeSize
 		p.safeTop += safeFrame
-		defer func() { p.safeTop -= safeFrame }()
+	}
+	ret, err := p.enter(&fr)
+	p.depth--
+	p.sp += fc.frameSize
+	p.safeTop -= safeFrame
+	return ret, err
+}
+
+// enter stores fr's return address in its return slot (clearing the
+// in-frame slot a safe stack leaves unused) and runs the body.
+func (p *Process) enter(fr *frame) (uint64, error) {
+	if fr.safeBase != 0 {
 		if err := p.Mem.WriteWord(fr.inFrameSlot, 0); err != nil {
 			return 0, err
 		}
-	} else {
-		fr.retSlot = fr.inFrameSlot
 	}
-	if err := p.Mem.WriteWord(fr.retSlot, retVal); err != nil {
+	if err := p.Mem.WriteWord(fr.retSlot, fr.retVal); err != nil {
 		return 0, err
 	}
-	fr.retVal = retVal
-
 	p.res.Stats.Cycles += p.cost.CallOverhead
 	return p.exec(fr)
 }
 
 // exec runs the body of fr's function.
 func (p *Process) exec(fr *frame) (uint64, error) {
-	blk := fr.fn.Entry()
+	st := &p.res.Stats
+	blk := 0
+	ops := fr.code.blocks[0]
 blocks:
 	for {
-		for _, in := range blk.Instrs {
-			p.res.Stats.Instructions++
-			if p.res.Stats.Instructions > p.cfg.MaxInstructions {
+		for i := range ops {
+			o := &ops[i]
+			st.Instructions++
+			if st.Instructions > p.cfg.MaxInstructions {
 				return 0, ErrLimit
 			}
-			p.res.Stats.Cycles += p.cost.Instr
+			st.Cycles += p.cost.Instr
 
-			switch in.Op {
+			switch o.code {
 			case mir.OpPhi:
 				// Assigned during the jump into this block.
 
 			case mir.OpAlloca:
-				if off, ok := fr.meta.safeOffs[in]; ok && fr.safeBase != 0 {
-					fr.vals[in.ID] = fr.safeBase + 8 + off
+				if o.safe {
+					fr.vals[o.dst] = fr.safeBase + 8 + o.aux
 				} else {
-					fr.vals[in.ID] = fr.base + fr.meta.allocaOffs[in]
+					fr.vals[o.dst] = fr.base + o.aux
 				}
 
 			case mir.OpLoad:
-				addr := p.eval(in.Args[0], fr)
-				v, err := p.loadSized(addr, in.Type().Size())
+				v, err := p.loadSized(fr.get(o.a), o.aux)
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in.ID] = v
-				p.res.Stats.Loads++
-				p.res.Stats.Cycles += p.cost.Load
+				fr.vals[o.dst] = v
+				st.Loads++
+				st.Cycles += p.cost.Load
 
 			case mir.OpStore:
-				val := p.eval(in.Args[0], fr)
-				addr := p.eval(in.Args[1], fr)
-				if err := p.storeSized(addr, val, in.Args[0].Type().Size()); err != nil {
+				if err := p.storeSized(fr.get(o.b), fr.get(o.a), o.aux); err != nil {
 					return 0, err
 				}
-				p.res.Stats.Stores++
-				p.res.Stats.Cycles += p.cost.Store
+				st.Stores++
+				st.Cycles += p.cost.Store
 
 			case mir.OpFieldAddr:
-				base := p.eval(in.Args[0], fr)
-				st := in.Args[0].Type().Elem
-				fr.vals[in.ID] = base + st.FieldOffset(in.Field)
+				fr.vals[o.dst] = fr.get(o.a) + o.aux
 
 			case mir.OpIndexAddr:
-				base := p.eval(in.Args[0], fr)
-				idx := p.eval(in.Args[1], fr)
-				fr.vals[in.ID] = base + idx*in.Type().Elem.Size()
+				fr.vals[o.dst] = fr.get(o.a) + fr.get(o.b)*o.aux
 
 			case mir.OpBin:
-				x, y := p.eval(in.Args[0], fr), p.eval(in.Args[1], fr)
-				v, err := binOp(in.Bin, x, y)
+				v, err := binOp(mir.BinKind(o.kind), fr.get(o.a), fr.get(o.b))
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in.ID] = v
+				fr.vals[o.dst] = v
 
 			case mir.OpCmp:
-				x, y := p.eval(in.Args[0], fr), p.eval(in.Args[1], fr)
-				fr.vals[in.ID] = cmpOp(in.Cmp, x, y)
+				fr.vals[o.dst] = cmpOp(mir.CmpKind(o.kind), fr.get(o.a), fr.get(o.b))
 
 			case mir.OpCast:
-				fr.vals[in.ID] = p.eval(in.Args[0], fr)
+				fr.vals[o.dst] = fr.get(o.a)
 
 			case mir.OpCall:
-				args := p.evalArgs(in.Args, fr)
-				ret, err := p.call(in.Callee, args, p.retAddrFor(fr, in))
+				ret, err := p.invoke(fr, o.callee, o.args, o.aux)
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in.ID] = ret
-				p.res.Stats.Calls++
+				fr.vals[o.dst] = ret
+				st.Calls++
 
 			case mir.OpICall:
-				target := p.eval(in.Args[0], fr)
-				callee := p.funcAt[target]
+				target := fr.get(o.a)
+				callee := p.codeAt(target)
 				if callee == nil {
 					return 0, &mem.Fault{Addr: target, Kind: mem.FaultPerm, Need: mem.Exec}
 				}
-				args := p.adaptArgs(p.evalArgs(in.Args[1:], fr), len(callee.Sig.Params))
-				ret, err := p.call(callee, args, p.retAddrFor(fr, in))
+				ret, err := p.invoke(fr, callee, o.args[1:], o.aux)
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in.ID] = ret
-				p.res.Stats.ICalls++
+				fr.vals[o.dst] = ret
+				st.ICalls++
 
 			case mir.OpRet:
-				return p.doRet(fr, in)
+				return p.doRet(fr, o)
 
 			case mir.OpBr:
-				blk = p.jump(fr, blk, in.Targets[0])
+				blk = p.jump(fr, &o.edges[0])
+				ops = fr.code.blocks[blk]
 				continue blocks
 
 			case mir.OpCondBr:
-				cond := p.eval(in.Args[0], fr)
-				t := in.Targets[1]
-				if cond != 0 {
-					t = in.Targets[0]
+				e := &o.edges[1]
+				if fr.get(o.a) != 0 {
+					e = &o.edges[0]
 				}
-				blk = p.jump(fr, blk, t)
+				blk = p.jump(fr, e)
+				ops = fr.code.blocks[blk]
 				continue blocks
 
 			case mir.OpMalloc:
-				size := p.eval(in.Args[0], fr)
-				addr, err := p.Heap.Malloc(size)
+				addr, err := p.Heap.Malloc(fr.get(o.a))
 				if err != nil {
 					return 0, fmt.Errorf("vm: %w", err)
 				}
-				fr.vals[in.ID] = addr
+				fr.vals[o.dst] = addr
 
 			case mir.OpFree:
-				addr := p.eval(in.Args[0], fr)
-				if err := p.Heap.Free(addr); err != nil {
+				if err := p.Heap.Free(fr.get(o.a)); err != nil {
 					return 0, fmt.Errorf("vm: %w", err)
 				}
 
 			case mir.OpRealloc:
-				addr := p.eval(in.Args[0], fr)
-				size := p.eval(in.Args[1], fr)
-				nw, err := p.Heap.Realloc(addr, size)
+				nw, err := p.Heap.Realloc(fr.get(o.a), fr.get(o.b))
 				if err != nil {
 					return 0, fmt.Errorf("vm: %w", err)
 				}
-				fr.vals[in.ID] = nw
+				fr.vals[o.dst] = nw
 
 			case mir.OpMemcpy, mir.OpMemmove:
-				dst := p.eval(in.Args[0], fr)
-				src := p.eval(in.Args[1], fr)
-				n := p.eval(in.Args[2], fr)
-				if err := p.Mem.Memmove(dst, src, n); err != nil {
+				n := fr.get(o.args[2])
+				if err := p.Mem.Memmove(fr.get(o.a), fr.get(o.b), n); err != nil {
 					return 0, err
 				}
-				p.res.Stats.BlockBytes += n
-				p.res.Stats.Cycles += n * p.cost.BlockOpByte
+				st.BlockBytes += n
+				st.Cycles += n * p.cost.BlockOpByte
 
 			case mir.OpMemset:
-				dst := p.eval(in.Args[0], fr)
-				v := p.eval(in.Args[1], fr)
-				n := p.eval(in.Args[2], fr)
-				if err := p.Mem.Memset(dst, byte(v), n); err != nil {
+				n := fr.get(o.args[2])
+				if err := p.Mem.Memset(fr.get(o.a), byte(fr.get(o.b)), n); err != nil {
 					return 0, err
 				}
-				p.res.Stats.BlockBytes += n
-				p.res.Stats.Cycles += n * p.cost.BlockOpByte
+				st.BlockBytes += n
+				st.Cycles += n * p.cost.BlockOpByte
 
 			case mir.OpSyscall:
-				v, err := p.syscall(in, fr)
+				v, err := p.syscall(o, fr)
 				if err != nil {
 					return 0, err
 				}
-				fr.vals[in.ID] = v
+				fr.vals[o.dst] = v
 
 			case mir.OpRuntime:
-				if err := p.runtimeOp(in, fr); err != nil {
+				if err := p.runtimeOp(o, fr); err != nil {
 					return 0, err
 				}
 
 			default:
-				return 0, fmt.Errorf("vm: unimplemented opcode %s", in.Op)
+				return 0, fmt.Errorf("vm: unimplemented opcode %s", o.code)
 			}
 		}
-		return 0, fmt.Errorf("vm: block %s fell through", blk)
+		return 0, fmt.Errorf("vm: block %s fell through", fr.code.fn.Blocks[blk])
 	}
 }
 
 // doRet dispatches a return through the in-memory return slot: the stored
 // word is loaded and *used* as the transfer target, so corruption of the
 // slot genuinely redirects control (the x86 ret semantics attacks rely on).
-func (p *Process) doRet(fr *frame, in *mir.Instr) (uint64, error) {
+func (p *Process) doRet(fr *frame, o *op) (uint64, error) {
 	var ret uint64
-	if len(in.Args) == 1 {
-		ret = p.eval(in.Args[0], fr)
+	if len(o.args) == 1 {
+		ret = fr.get(o.a)
 	}
 	stored, err := p.Mem.ReadWord(fr.retSlot)
 	if err != nil {
@@ -297,93 +321,31 @@ func (p *Process) doRet(fr *frame, in *mir.Instr) (uint64, error) {
 	}
 	// The slot was corrupted: transfer to whatever it names.
 	p.res.Hijacked = true
-	if target := p.funcAt[stored]; target != nil {
-		// Execute the attacker-chosen function ("shellcode"); the
-		// program cannot meaningfully continue afterwards.
-		_, err := p.call(target, p.adaptArgs(nil, len(target.Sig.Params)), exitToken)
+	if target := p.codeAt(stored); target != nil {
+		// Execute the attacker-chosen function ("shellcode") with zeroed
+		// arguments; the program cannot meaningfully continue afterwards.
+		_, err := p.invoke(fr, target, nil, exitToken)
 		if err != nil && (errors.Is(err, errHalt) || errors.Is(err, errKilled)) {
 			return 0, err
 		}
-		return 0, fmt.Errorf("%w: hijacked to @%s", ErrStackCorrupt, target.Name)
+		return 0, fmt.Errorf("%w: hijacked to @%s", ErrStackCorrupt, target.fn.Name)
 	}
 	return 0, fmt.Errorf("%w: slot=%#x", ErrStackCorrupt, stored)
 }
 
-// retAddrFor encodes the return address for a call at instruction in: the
-// caller's code address plus the instruction's offset.
-func (p *Process) retAddrFor(fr *frame, in *mir.Instr) uint64 {
-	return fr.meta.addr + 16 + uint64(in.ID)%(funcStride-16)
-}
-
-// jump transfers to block to, assigning its phis with respect to edge
-// from→to. All phi inputs are read before any phi output is written
-// (parallel-assignment semantics).
-func (p *Process) jump(fr *frame, from, to *mir.Block) *mir.Block {
+// jump takes edge e, assigning the target block's phis, and returns the
+// target block's index. All phi inputs are read before any phi output is
+// written (parallel-assignment semantics).
+func (p *Process) jump(fr *frame, e *edge) int {
 	var tmp [8]uint64
 	vals := tmp[:0]
-	for _, in := range to.Instrs {
-		if in.Op != mir.OpPhi {
-			break
-		}
-		idx := -1
-		for i, pb := range in.PhiBlocks {
-			if pb == from {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			vals = append(vals, 0) // validated IR should not reach this
-		} else {
-			vals = append(vals, p.eval(in.Args[idx], fr))
-		}
+	for _, mv := range e.moves {
+		vals = append(vals, fr.get(mv.src))
 	}
-	i := 0
-	for _, in := range to.Instrs {
-		if in.Op != mir.OpPhi {
-			break
-		}
-		fr.vals[in.ID] = vals[i]
-		i++
+	for i, mv := range e.moves {
+		fr.vals[mv.dst] = vals[i]
 	}
-	return to
-}
-
-// eval resolves a value in the context of fr.
-func (p *Process) eval(v mir.Value, fr *frame) uint64 {
-	switch v := v.(type) {
-	case *mir.Const:
-		return v.Val
-	case *mir.FuncRef:
-		return p.FuncAddr(v.Fn)
-	case *mir.Global:
-		return p.globalAddr[v]
-	case *mir.Param:
-		return fr.args[v.Idx]
-	case *mir.Instr:
-		return fr.vals[v.ID]
-	default:
-		panic(fmt.Sprintf("vm: unknown value %T", v))
-	}
-}
-
-func (p *Process) evalArgs(args []mir.Value, fr *frame) []uint64 {
-	out := make([]uint64, len(args))
-	for i, a := range args {
-		out[i] = p.eval(a, fr)
-	}
-	return out
-}
-
-// adaptArgs fits an argument vector to a callee arity — a hijacked or
-// signature-confused transfer passes whatever happens to be in registers.
-func (p *Process) adaptArgs(args []uint64, n int) []uint64 {
-	if len(args) == n {
-		return args
-	}
-	out := make([]uint64, n)
-	copy(out, args)
-	return out
+	return e.blk
 }
 
 func (p *Process) loadSized(addr uint64, size uint64) (uint64, error) {

@@ -89,18 +89,6 @@ type Result struct {
 // Crashed reports whether the run ended in an error (crash or hang).
 func (r *Result) Crashed() bool { return r.Err != nil }
 
-// funcMeta is per-function frame layout, precomputed at load time.
-type funcMeta struct {
-	frameSize  uint64
-	allocaOffs map[*mir.Instr]uint64
-	// Safe-stack designs move eligible locals to the safe region: these
-	// offsets are relative to the frame's safe area, which starts with
-	// the return slot.
-	safeOffs map[*mir.Instr]uint64
-	safeSize uint64
-	addr     uint64
-}
-
 // Process is one loaded program instance.
 type Process struct {
 	Mod  *mir.Module
@@ -109,9 +97,15 @@ type Process struct {
 	cfg  Config
 	cost *sim.CostModel
 
-	funcMeta   map[*mir.Func]*funcMeta
-	funcAt     map[uint64]*mir.Func
+	funcs      []*funcCode // module functions, at StaticFuncAddr(i)
+	codeOf     map[*mir.Func]*funcCode
+	pending    []*funcCode // placed but not yet compiled (during load)
 	globalAddr map[*mir.Global]uint64
+
+	// The value stack: each frame's registers are a slice of regs,
+	// from regTop up, for the duration of the call.
+	regs   []uint64
+	regTop int
 
 	// Safe region (hidden): return slots under safe-stack placements.
 	safeBase uint64
@@ -151,8 +145,7 @@ func NewProcess(mod *mir.Module, cfg Config) (*Process, error) {
 		Mem:        mem.New(),
 		cfg:        cfg,
 		cost:       cost,
-		funcMeta:   make(map[*mir.Func]*funcMeta),
-		funcAt:     make(map[uint64]*mir.Func),
+		codeOf:     make(map[*mir.Func]*funcCode),
 		globalAddr: make(map[*mir.Global]uint64),
 		macTable:   make(map[uint64]uint64),
 		safeStore:  make(map[uint64]uint64),
@@ -176,16 +169,21 @@ func (p *Process) load() error {
 			return err
 		}
 	}
+	p.funcs = make([]*funcCode, nfuncs)
 	for i, f := range p.Mod.Funcs {
-		addr := uint64(codeBase + i*funcStride)
-		p.funcMeta[f] = p.layoutFunc(f, addr)
-		p.funcAt[addr] = f
+		p.funcs[i] = p.addFunc(f, StaticFuncAddr(i))
 	}
 
 	// Globals: partition by segment.
 	if err := p.layoutGlobals(); err != nil {
 		return err
 	}
+
+	// With every address known, resolve each function's operands once.
+	for i := 0; i < len(p.pending); i++ {
+		p.compile(p.pending[i]) // may append callees outside the module
+	}
+	p.pending = nil
 
 	// Heap.
 	if err := p.Mem.Map(heapBase, p.cfg.HeapSize, mem.Read|mem.Write); err != nil {
@@ -223,45 +221,6 @@ func (p *Process) load() error {
 	return nil
 }
 
-// layoutFunc precomputes the frame layout: allocas packed from the frame
-// base upward, the in-frame return slot as the top word (so a contiguous
-// overflow of a local buffer reaches it, like x86). Allocas marked SafeSlot
-// are laid out in the frame's safe area instead when the process runs a
-// safe stack.
-func (p *Process) layoutFunc(f *mir.Func, addr uint64) *funcMeta {
-	m := &funcMeta{
-		allocaOffs: make(map[*mir.Instr]uint64),
-		safeOffs:   make(map[*mir.Instr]uint64),
-		addr:       addr,
-	}
-	useSafe := p.cfg.Placement != PlaceRegular
-	var off, safeOff uint64
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != mir.OpAlloca {
-				continue
-			}
-			a := in.AllocTy.Align()
-			if a < 8 {
-				a = 8
-			}
-			if useSafe && in.SafeSlot {
-				safeOff = (safeOff + a - 1) &^ (a - 1)
-				m.safeOffs[in] = safeOff
-				safeOff += in.AllocTy.Size()
-			} else {
-				off = (off + a - 1) &^ (a - 1)
-				m.allocaOffs[in] = off
-				off += in.AllocTy.Size()
-			}
-		}
-	}
-	off = (off + 7) &^ 7
-	m.frameSize = off + 8 // + in-frame return slot
-	m.safeSize = (safeOff + 7) &^ 7
-	return m
-}
-
 func (p *Process) layoutGlobals() error {
 	bases := map[string]uint64{"rodata": rodataBase, "data": dataBase, "bss": bssBase}
 	next := map[string]uint64{"rodata": rodataBase, "data": dataBase, "bss": bssBase}
@@ -285,7 +244,6 @@ func (p *Process) layoutGlobals() error {
 		}
 		next[seg] = addr + size
 		p.globalAddr[g] = addr
-		g.Addr = addr
 	}
 	for seg, base := range bases {
 		if next[seg] == base {
@@ -376,15 +334,31 @@ func StaticFuncAddr(i int) uint64 { return uint64(codeBase + i*funcStride) }
 
 // FuncAddr returns the code address of f.
 func (p *Process) FuncAddr(f *mir.Func) uint64 {
-	if m, ok := p.funcMeta[f]; ok {
-		return m.addr
+	if fc, ok := p.codeOf[f]; ok {
+		return fc.addr
 	}
 	return 0
 }
 
 // FuncAt resolves a code address back to a function (nil if the address is
 // not a function entry).
-func (p *Process) FuncAt(addr uint64) *mir.Func { return p.funcAt[addr] }
+func (p *Process) FuncAt(addr uint64) *mir.Func {
+	if fc := p.codeAt(addr); fc != nil {
+		return fc.fn
+	}
+	return nil
+}
+
+// codeAt resolves a code address to the function placed there, or nil.
+func (p *Process) codeAt(addr uint64) *funcCode {
+	if addr < codeBase || (addr-codeBase)%funcStride != 0 {
+		return nil
+	}
+	if i := (addr - codeBase) / funcStride; i < uint64(len(p.funcs)) {
+		return p.funcs[i]
+	}
+	return nil
+}
 
 // GlobalAddr returns the loaded address of g.
 func (p *Process) GlobalAddr(g *mir.Global) uint64 { return p.globalAddr[g] }

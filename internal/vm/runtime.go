@@ -10,10 +10,11 @@ import (
 // runtimeOp executes one instrumentation-inserted runtime call. HQ
 // operations become AppendWrite messages; the Clang-CFI, CCFI and CPI
 // operations execute in-process, exactly where each design keeps its trust.
-func (p *Process) runtimeOp(in *mir.Instr, fr *frame) error {
+func (p *Process) runtimeOp(o *op, fr *frame) error {
+	in := o.in
 	arg := func(i int) uint64 {
-		if i < len(in.Args) {
-			return p.eval(in.Args[i], fr)
+		if i < len(o.args) {
+			return fr.get(o.args[i])
 		}
 		return 0
 	}
@@ -26,8 +27,7 @@ func (p *Process) runtimeOp(in *mir.Instr, fr *frame) error {
 		}
 		return nil
 	}
-	cost := p.cost.RuntimeCost(in.RT)
-	p.res.Stats.Cycles += cost
+	p.res.Stats.Cycles += o.aux // the op's in-process cost
 
 	switch in.RT {
 	// --- HerQules messaging runtime (§4.1.3, §4.1.5, §2.2) ---
@@ -86,7 +86,7 @@ func (p *Process) runtimeOp(in *mir.Instr, fr *frame) error {
 	// --- Clang/LLVM CFI: in-process type-class check (§6.3.1) ---
 	case mir.RTClangCFICheck:
 		target := arg(0)
-		fn := p.funcAt[target]
+		fn := p.FuncAt(target)
 		if fn == nil || fn.Sig.Signature() != in.ClassSig {
 			return p.violation(fmt.Sprintf("clang-cfi: target %#x not in class %s", target, in.ClassSig))
 		}
@@ -123,7 +123,7 @@ func (p *Process) runtimeOp(in *mir.Instr, fr *frame) error {
 		p.safeStore[arg(0)] = arg(1)
 		return nil
 	case mir.RTSafeStoreGet:
-		fr.vals[in.ID] = p.safeStore[arg(0)]
+		fr.vals[o.dst] = p.safeStore[arg(0)]
 		return nil
 
 	// --- Store-to-load forwarding recursion guard (§4.1.4) ---

@@ -60,7 +60,8 @@ func ReadOnlySyscall(no int) bool {
 // syscall executes one system call, including HerQules' bounded asynchronous
 // validation: when a kernel is attached, the call is gated until the
 // verifier confirms, and fails if the process has been killed.
-func (p *Process) syscall(in *mir.Instr, fr *frame) (uint64, error) {
+func (p *Process) syscall(o *op, fr *frame) (uint64, error) {
+	in := o.in
 	p.res.Stats.Syscalls++
 	if !p.cost.ExcludeSyscalls {
 		p.res.Stats.Cycles += p.cost.Syscall
@@ -94,10 +95,9 @@ func (p *Process) syscall(in *mir.Instr, fr *frame) (uint64, error) {
 		}
 	}
 
-	args := p.evalArgs(in.Args, fr)
 	arg := func(i int) uint64 {
-		if i < len(args) {
-			return args[i]
+		if i < len(o.args) {
+			return fr.get(o.args[i])
 		}
 		return 0
 	}
