@@ -17,14 +17,16 @@ vet:
 	$(GO) vet ./...
 
 # check is the CI gate: gofmt, vet, build, the full test suite under the race
-# detector, a smoke run of the telemetry experiment end-to-end, and the
-# multi-process supervisor smoke (racy concurrent launches + one small
-# multiproc scaling measurement).
+# detector, a short fuzz of per-op policy routing against calling every
+# policy on every message, a smoke run of the telemetry experiment
+# end-to-end, and the multi-process supervisor smoke (racy concurrent
+# launches + one small multiproc scaling measurement).
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz FuzzDeliverRouted -fuzztime 10s ./internal/verifier
 	$(GO) run ./cmd/hqbench -exp stats -msgs 50000 -procs 4 >/dev/null
 	$(MAKE) multiproc-smoke
 	$(MAKE) obs-smoke

@@ -8,9 +8,12 @@ import (
 // record send/recv/batch totals, the receive-side batch-size distribution,
 // and the pending-message high-water mark. Backends with internal state the
 // shim cannot observe (the fd framing layer's partial-frame carry) are
-// instrumented directly. Call before the channel is used concurrently; the
-// per-message overhead is one atomic add on send and an amortized handful of
-// atomic adds per received burst.
+// instrumented directly. Call before the channel is used concurrently. A
+// send costs a plain increment: the sender publishes its tally to ipc.sends
+// with one atomic add per sendTally sends, on every OpSyscall and failed
+// send, and at Close, so the count is exact at every syscall gate and after
+// Close and at most sendTally-1 behind in between. A received burst costs an
+// amortized handful of atomic adds.
 func (c *Channel) EnableTelemetry(m *telemetry.Metrics) {
 	if fr, ok := c.Receiver.(*fdReceiver); ok {
 		fr.carries = m.Counter("ipc.partial_frame_carries")
@@ -31,6 +34,10 @@ func (c *Channel) EnableTelemetry(m *telemetry.Metrics) {
 	}
 }
 
+// sendTally is how many successful sends an instrumentedSender counts
+// privately before publishing them to ipc.sends in one atomic add.
+const sendTally = 256
+
 // instrumentedSender counts sends and send errors around the wrapped sender.
 // When the registry has latency sampling enabled, it also stamps the send
 // time of every N-th successfully sent message, keyed by (PID, ordinal): the
@@ -43,35 +50,50 @@ type instrumentedSender struct {
 	sends   *telemetry.Counter
 	errs    *telemetry.Counter
 	sampler *telemetry.LatencySampler
-	// n counts successful sends, mirroring the backend's Seq. Plain, not
-	// atomic: every backend in this module already requires a single
-	// producer goroutine per channel (the ring's own seq++ is unsynchronized
-	// for the same reason), and an atomic add here costs ~10% of the
-	// shared-ring send path for nothing.
-	n uint64
+	// n counts successful sends, mirroring the backend's Seq; published is
+	// the part of n already added to sends. Both are plain, not atomic:
+	// every backend in this module already requires a single producer
+	// goroutine per channel (the ring's own seq++ is unsynchronized for the
+	// same reason), and an atomic add per send costs ~10% of the
+	// shared-ring send path for nothing. Close touches them too, so it must
+	// run on the producer goroutine after its last Send, as
+	// supervisor.Launch does.
+	n, published uint64
 }
 
 func (s *instrumentedSender) Send(m Message) error {
 	err := s.s.Send(m)
 	if err != nil {
+		s.publish()
 		s.errs.Inc()
 		return err
 	}
-	s.sends.Inc()
-	if s.sampler != nil {
-		// Count only successful sends so the ordinal tracks the backend's
-		// sequence counter (a failed Send consumes no sequence number).
+	// Count only successful sends so the ordinal tracks the backend's
+	// sequence counter (a failed Send consumes no sequence number).
+	s.n++
+	if s.n%sendTally == 0 || m.Op == OpSyscall {
+		s.publish()
+	}
+	if s.sampler != nil && s.sampler.Sampled(s.n) {
 		// Stamping after Send measures enqueue → validate; back-pressure
 		// blocking inside Send is charged to the sender, not the verifier.
-		s.n++
-		if s.sampler.Sampled(s.n) {
-			s.sampler.Stamp(m.PID, s.n)
-		}
+		s.sampler.Stamp(m.PID, s.n)
 	}
 	return nil
 }
 
-func (s *instrumentedSender) Close() error { return s.s.Close() }
+// publish adds the sends counted since the last publish to ipc.sends.
+func (s *instrumentedSender) publish() {
+	if d := s.n - s.published; d > 0 {
+		s.sends.Add(d)
+		s.published = s.n
+	}
+}
+
+func (s *instrumentedSender) Close() error {
+	s.publish()
+	return s.s.Close()
+}
 
 // SetPID implements PIDRegister by forwarding to the wrapped sender, so
 // wrapping a transport with a kernel-managed PID register (the FPGA AFU)

@@ -474,15 +474,35 @@ func TestNewSharedRingClampsCapacity(t *testing.T) {
 
 func TestChannelTelemetryCounts(t *testing.T) {
 	m := telemetry.New(1)
-	ch := NewSharedRing(64)
+	ch := NewSharedRing(512)
 	ch.EnableTelemetry(m)
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := ch.Sender.Send(Message{Op: OpCounterInc, Arg1: uint64(i)}); err != nil {
+	sends := func() uint64 { return m.Snapshot().Counters["ipc.sends"].Total }
+	send := func(msg Message) {
+		t.Helper()
+		if err := ch.Sender.Send(msg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf := make([]Message, 4)
+	// The sender tallies privately and publishes in bursts: between gates
+	// ipc.sends may trail by up to sendTally-1, never lead.
+	const plain = 300
+	for i := 0; i < plain; i++ {
+		send(Message{Op: OpCounterInc, Arg1: uint64(i)})
+	}
+	if v := sends(); v > plain || plain-v >= sendTally {
+		t.Errorf("ipc.sends = %d after %d plain sends, want within %d below", v, plain, sendTally-1)
+	}
+	// A syscall gate publishes: the count is exact when the gate is reached.
+	send(Message{Op: OpSyscall, Arg1: 1})
+	if v := sends(); v != plain+1 {
+		t.Errorf("ipc.sends = %d after the OpSyscall send, want %d", v, plain+1)
+	}
+	const tail = 5
+	for i := 0; i < tail; i++ {
+		send(Message{Op: OpCounterInc, Arg1: uint64(i)})
+	}
+	const n = plain + 1 + tail
+	buf := make([]Message, 64)
 	got := 0
 	for got < n {
 		k, ok, err := RecvBatchFrom(ch.Receiver, buf)
@@ -491,7 +511,11 @@ func TestChannelTelemetryCounts(t *testing.T) {
 		}
 		got += k
 	}
+	// Close publishes the rest.
 	ch.Close()
+	if v := sends(); v != n {
+		t.Errorf("ipc.sends = %d after Close, want %d", v, n)
+	}
 	if err := ch.Sender.Send(Message{Op: OpCounterInc}); err == nil {
 		t.Error("send after close succeeded")
 	}

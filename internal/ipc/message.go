@@ -132,6 +132,34 @@ func (o Op) String() string {
 // Valid reports whether o is a defined operation code.
 func (o Op) Valid() bool { return o < numOps }
 
+// NumOps is the number of defined operation codes: every valid Op is below
+// it. The verifier sizes its per-op delivery routes with it.
+const NumOps = numOps
+
+// OpSet is a set of operation codes, one bit per Op. Policies declare the
+// ops they act on as an OpSet so the verifier can route each message only to
+// the policies that own its op.
+type OpSet uint64
+
+// Every defined Op must fit in one OpSet bit: this fails to compile once
+// numOps exceeds 64.
+var _ [64 - numOps]struct{}
+
+// AllOps holds every defined operation code.
+const AllOps = OpSet(1)<<numOps - 1
+
+// OpsOf returns the set holding exactly the given ops.
+func OpsOf(ops ...Op) OpSet {
+	var s OpSet
+	for _, o := range ops {
+		s |= 1 << o
+	}
+	return s
+}
+
+// Has reports whether o is in s. An undefined op is in no set.
+func (s OpSet) Has(o Op) bool { return o < numOps && s&(1<<o) != 0 }
+
 // IsSessionOp reports whether o belongs to the connection plane: a
 // session-control frame that the hqnet daemon consumes (or emits) at the
 // connection layer and never forwards into the verifier's policy chain.

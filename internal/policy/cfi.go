@@ -42,6 +42,13 @@ func (c *CFI) Clone() Policy {
 	return n
 }
 
+// cfiOps is the §4.1.3/§4.1.5 pointer vocabulary Handle dispatches on.
+var cfiOps = ipc.OpsOf(ipc.OpPointerDefine, ipc.OpPointerCheck, ipc.OpPointerCheckInvalidate,
+	ipc.OpPointerInvalidate, ipc.OpPointerBlockCopy, ipc.OpPointerBlockMove, ipc.OpPointerBlockInvalidate)
+
+// Ops implements Policy.
+func (c *CFI) Ops() ipc.OpSet { return cfiOps }
+
 // Handle implements Policy, dispatching the §4.1.3/§4.1.5 message set.
 func (c *CFI) Handle(m ipc.Message) *Violation {
 	switch m.Op {

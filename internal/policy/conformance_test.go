@@ -68,24 +68,45 @@ func TestConformanceEveryRegisteredPolicyCovered(t *testing.T) {
 }
 
 func TestConformanceUnknownOpIgnored(t *testing.T) {
-	// OpSyscall is handled by the verifier engine, never by policies; it
-	// stands in for any op outside a policy's vocabulary. Handling it must
-	// neither violate nor mutate observable state.
+	// The verifier routes a message only to the policies whose Ops hold its
+	// op, so an Ops set narrower than Handle would skip a check silently.
+	// Every op outside a policy's Ops — the defined ones it does not own,
+	// the first undefined one, and two far out of range — must therefore
+	// neither violate nor mutate observable state, even with arguments that
+	// would violate or churn state if the op were handled: a check of an
+	// undefined address against an undeclared set, and the arguments of the
+	// policy's own define and release messages.
+	foreign := []ipc.Op{0xFFFF, 0xFFFFFFFF}
+	for op := ipc.Op(0); op <= ipc.NumOps; op++ {
+		foreign = append(foreign, op)
+	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			p, err := New(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range exercisers[name].define {
+			ex := exercisers[name]
+			for _, m := range ex.define {
 				p.Handle(m)
 			}
-			before := p.Entries()
-			if v := p.Handle(msg(ipc.OpSyscall)); v != nil {
-				t.Errorf("foreign op raised violation: %v", v)
-			}
-			if got := p.Entries(); got != before {
-				t.Errorf("foreign op changed Entries: %d -> %d", before, got)
+			args := []ipc.Message{msg(0, 0xdead0, 0xbad, 64)}
+			args = append(append(args, ex.define...), ex.undefine...)
+			owned := p.Ops()
+			for _, op := range foreign {
+				if owned.Has(op) {
+					continue
+				}
+				for _, a := range args {
+					a.Op = op
+					before := p.Entries()
+					if v := p.Handle(a); v != nil {
+						t.Errorf("%v outside Ops raised violation: %v", a, v)
+					}
+					if got := p.Entries(); got != before {
+						t.Errorf("%v outside Ops changed Entries: %d -> %d", a, before, got)
+					}
+				}
 			}
 		})
 	}

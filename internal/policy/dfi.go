@@ -63,6 +63,12 @@ func (d *DFI) Clone() Policy {
 	return n
 }
 
+// dfiOps is the §4.3 vocabulary Handle dispatches on.
+var dfiOps = ipc.OpsOf(ipc.OpDFIDeclare, ipc.OpDFISet, ipc.OpDFICheck)
+
+// Ops implements Policy.
+func (d *DFI) Ops() ipc.OpSet { return dfiOps }
+
 // Handle implements Policy.
 func (d *DFI) Handle(m ipc.Message) *Violation {
 	switch m.Op {

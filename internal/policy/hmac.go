@@ -78,6 +78,10 @@ func (h *HMAC) Clone() Policy {
 	return &n
 }
 
+// Ops implements Policy: the sealer handles no op, so the verifier never
+// calls its Handle.
+func (h *HMAC) Ops() ipc.OpSet { return 0 }
+
 // Handle implements Policy; all of the sealer's checking happens in Unseal.
 func (h *HMAC) Handle(m ipc.Message) *Violation { return nil }
 

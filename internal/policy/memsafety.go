@@ -42,6 +42,14 @@ func (p *MemSafety) Clone() Policy {
 	return n
 }
 
+// allocOps is the §4.2 allocation vocabulary, shared by MemSafety and
+// Temporal.
+var allocOps = ipc.OpsOf(ipc.OpAllocCreate, ipc.OpAllocCheck, ipc.OpAllocCheckBase,
+	ipc.OpAllocExtend, ipc.OpAllocDestroy, ipc.OpAllocDestroyAll)
+
+// Ops implements Policy.
+func (p *MemSafety) Ops() ipc.OpSet { return allocOps }
+
 // Handle implements Policy.
 func (p *MemSafety) Handle(m ipc.Message) *Violation {
 	switch m.Op {

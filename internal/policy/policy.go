@@ -52,6 +52,11 @@ type Policy interface {
 	// check fails. Messages whose Op the policy does not recognize must be
 	// ignored (multiple policies can share one message stream).
 	Handle(m ipc.Message) *Violation
+	// Ops is the set of operation codes Handle acts on. The verifier hands
+	// a message only to the policies whose Ops hold its op, so an op left
+	// out here is a check the policy never runs. A Sealer, which does all
+	// of its work in Unseal, returns the empty set.
+	Ops() ipc.OpSet
 	// Clone duplicates the policy state for a forked child (§3.4). The
 	// clone's state must be independent: mutating the child must not be
 	// observable through the parent.

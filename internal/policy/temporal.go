@@ -66,6 +66,9 @@ func (t *Temporal) Clone() Policy {
 	return n
 }
 
+// Ops implements Policy.
+func (t *Temporal) Ops() ipc.OpSet { return allocOps }
+
 // Handle implements Policy over the §4.2 allocation message set.
 func (t *Temporal) Handle(m ipc.Message) *Violation {
 	switch m.Op {

@@ -22,6 +22,7 @@ func (panicOnCheck) Handle(m ipc.Message) *policy.Violation {
 	}
 	return nil
 }
+func (panicOnCheck) Ops() ipc.OpSet       { return ipc.AllOps }
 func (panicOnCheck) Clone() policy.Policy { return panicOnCheck{} }
 func (panicOnCheck) Entries() int         { return 0 }
 

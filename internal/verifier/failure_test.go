@@ -76,6 +76,7 @@ func (p *bombPolicy) Handle(m ipc.Message) *policy.Violation {
 	}
 	return nil
 }
+func (p *bombPolicy) Ops() ipc.OpSet       { return ipc.AllOps }
 func (p *bombPolicy) Clone() policy.Policy { return &bombPolicy{trigger: p.trigger} }
 func (p *bombPolicy) Entries() int         { return 0 }
 

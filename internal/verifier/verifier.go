@@ -22,6 +22,8 @@ package verifier
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -51,14 +53,19 @@ type PolicyFactory func() []policy.Policy
 type procCtx struct {
 	pid int32
 	// policies is the full attached set in chain order, the view Entries,
-	// Policy and fork cloning iterate. sealers/chain are the same instances
-	// split by role for the delivery path: sealers authenticate and strip
-	// each message first (policy.Sealer), then the sequence check runs, then
-	// the rest of the chain handles the message. When no sealer is attached,
-	// chain aliases policies and the split costs nothing.
-	policies   []policy.Policy
-	sealers    []policy.Sealer
-	chain      []policy.Policy
+	// Policy and fork cloning iterate. sealers and route hold the same
+	// instances arranged for the delivery path: sealers authenticate and
+	// strip each message first (policy.Sealer), then the sequence check
+	// runs, then the message goes to its op's route — the other policies
+	// whose Ops hold that op, in chain order.
+	policies []policy.Policy
+	sealers  []policy.Sealer
+	// route lists every op's policies back to back: op o's route is
+	// route[routeOff[o]:routeOff[o+1]]. One flat slice and a small offset
+	// array keep a context a few hundred bytes, where a slice per op would
+	// cost a header for each of the ipc.NumOps ops.
+	route      []policy.Policy
+	routeOff   [ipc.NumOps + 1]uint16
 	violations []*policy.Violation
 	messages   uint64
 	dropped    uint64 // messages dropped after the context went dead
@@ -314,29 +321,42 @@ func (v *Verifier) newFlightRecorder() *telemetry.FlightRecorder {
 }
 
 // newProcCtx builds a context around an already-prepared policy set,
-// splitting sealers from the rest of the chain once at birth so the delivery
-// path never type-asserts per message.
+// splitting sealers from the rest of the chain and building the per-op route
+// once at birth, so the delivery path never type-asserts or tests an op set
+// per message.
 func newProcCtx(pid int32, policies []policy.Policy, fr *telemetry.FlightRecorder, dead bool) *procCtx {
 	pc := &procCtx{pid: pid, policies: policies, flight: fr, dead: dead, seqValid: true}
-	hasSealer := false
-	for _, p := range policies {
-		if _, ok := p.(policy.Sealer); ok {
-			hasSealer = true
-			break
-		}
-	}
-	if !hasSealer {
-		pc.chain = policies
-		return pc
-	}
+	n := 0
 	for _, p := range policies {
 		if sl, ok := p.(policy.Sealer); ok {
 			pc.sealers = append(pc.sealers, sl)
 		} else {
-			pc.chain = append(pc.chain, p)
+			n += bits.OnesCount64(uint64(p.Ops() & ipc.AllOps))
 		}
 	}
+	if n > math.MaxUint16 {
+		panic(fmt.Sprintf("verifier: policy route of %d entries overflows its offsets", n))
+	}
+	pc.route = make([]policy.Policy, 0, n)
+	for op := ipc.Op(0); op < ipc.NumOps; op++ {
+		pc.routeOff[op] = uint16(len(pc.route))
+		for _, p := range policies {
+			if _, sealer := p.(policy.Sealer); !sealer && p.Ops().Has(op) {
+				pc.route = append(pc.route, p)
+			}
+		}
+	}
+	pc.routeOff[ipc.NumOps] = uint16(len(pc.route))
 	return pc
+}
+
+// routeFor returns the policies that handle op, in chain order. An op past
+// the defined range belongs to no policy.
+func (pc *procCtx) routeFor(op ipc.Op) []policy.Policy {
+	if op >= ipc.NumOps {
+		return nil
+	}
+	return pc.route[pc.routeOff[op]:pc.routeOff[op+1]]
 }
 
 // bindKeyring hands the system keyring to every KeyBinder policy in the set.
@@ -620,9 +640,11 @@ func (v *Verifier) deliverShardBatch(si int, ms []ipc.Message) {
 // deliverSegment runs the engine over ms[st.i:] under the shard lock held by
 // deliverShardBatch. Chain order per message: sealers authenticate and strip
 // first (a failure is always fatal — an unauthenticated message proves
-// nothing about its claimed process), then the sequence check, then every
-// remaining policy's Handle. The first violating policy is the one the kill
-// is attributed to via Violation.Policy.
+// nothing about its claimed process), then the sequence check, then the
+// Handle of each policy on the message's op route (procCtx.routeFor), in
+// chain order. The first violating policy is the one the kill is attributed
+// to via Violation.Policy. A policy off the route would ignore the op
+// anyway, so routing changes which calls are made, not what they decide.
 //
 // A panic inside a policy's Unseal or Handle is contained to that policy's
 // process: the recover below converts it into an attributed violation and
@@ -749,7 +771,7 @@ func (v *Verifier) deliverSegment(s *shard, si int, ms []ipc.Message, st *delive
 		pc.lastSeq, pc.seqValid = m.Seq, true
 
 		var violated *policy.Violation
-		for _, p := range pc.chain {
+		for _, p := range pc.routeFor(m.Op) {
 			cur = p
 			viol := p.Handle(*m)
 			if viol != nil {
